@@ -9,6 +9,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -77,16 +78,29 @@ inline std::size_t base_n() {
 /// Large dataset size (paper: 100M).
 inline std::size_t large_n() { return 4 * base_n(); }
 
-/// Median-of-3 wall-clock seconds of `f` (one untimed warmup for caches).
-template <class F>
-double time_op(F&& f, int reps = 1) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
+/// Median wall-clock seconds of `reps` runs of `op(setup())`, after one
+/// untimed warmup run. Each run gets a fresh state from `setup()`, built
+/// outside the timed region, so ops that consume their input (erase a
+/// batch, insert into a tree) time the same work every run.
+template <class Setup, class Op>
+double time_fresh(Setup&& setup, Op&& op, int reps = 3) {
+  std::vector<double> runs;
+  for (int r = 0; r <= std::max(reps, 1); ++r) {
+    auto state = setup();
     timer t;
-    f();
-    best = std::min(best, t.elapsed());
+    op(state);
+    if (r > 0) runs.push_back(t.elapsed());
   }
-  return best;
+  std::sort(runs.begin(), runs.end());
+  return runs[runs.size() / 2];
+}
+
+/// Median-of-3 wall-clock seconds of `f` (one untimed warmup for caches).
+/// `f` runs reps + 1 times, so it must be repeatable; use time_fresh for
+/// ops with side effects.
+template <class F>
+double time_op(F&& f, int reps = 3) {
+  return time_fresh([] { return 0; }, [&](int) { f(); }, reps);
 }
 
 /// Thread counts to sweep: 1, 2, 4, ... up to the hardware limit. On a

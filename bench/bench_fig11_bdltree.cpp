@@ -7,6 +7,8 @@
 // On a single-core host the sweep is {1}; the cross-implementation shape
 // (BDL construction fastest, B2 updates fastest, B1/B2 k-NN fastest) is
 // still measured.
+#include <memory>
+
 #include "bdltree/baselines.h"
 #include "bdltree/bdl_tree.h"
 #include "bench_common.h"
@@ -49,17 +51,21 @@ double insert_throughput(const std::vector<point<D>>& pts,
 template <class Tree>
 double delete_throughput(const std::vector<point<D>>& pts,
                          split_policy pol) {
-  Tree t(pol);
-  t.insert(pts);
   const std::size_t batch = pts.size() / 10;
-  const double s = time_op([&] {
-    for (std::size_t b = 0; b < 10; ++b) {
-      std::vector<point<D>> chunk(
-          pts.begin() + b * batch,
-          pts.begin() + std::min(pts.size(), (b + 1) * batch));
-      t.erase(chunk);
-    }
-  });
+  const double s = time_fresh(
+      [&] {  // every timed run deletes from a fresh full tree
+        auto t = std::make_unique<Tree>(pol);
+        t->insert(pts);
+        return t;
+      },
+      [&](auto& t) {
+        for (std::size_t b = 0; b < 10; ++b) {
+          std::vector<point<D>> chunk(
+              pts.begin() + b * batch,
+              pts.begin() + std::min(pts.size(), (b + 1) * batch));
+          t->erase(chunk);
+        }
+      });
   return static_cast<double>(pts.size()) / s;
 }
 

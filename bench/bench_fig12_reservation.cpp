@@ -17,9 +17,15 @@ void run_dataset(const std::string& name, const std::vector<point<3>>& pts) {
   scoped_threads st(1);  // the paper measures work, not parallel time
   hull3d::stats noRes, res;
   const double tNoRes =
-      time_op([&] { hull3d::sequential_quickhull(pts, &noRes); });
+      time_op([&] {
+        noRes = {};  // the counters accumulate; keep one run's
+        hull3d::sequential_quickhull(pts, &noRes);
+      });
   const double tRes =
-      time_op([&] { hull3d::reservation_quickhull(pts, 8, &res); });
+      time_op([&] {
+        res = {};
+        hull3d::reservation_quickhull(pts, 8, &res);
+      });
   std::printf("%-14s %-16s points=%10zu facets=%10zu time=%8.1f ms\n",
               name.c_str(), "no-reservation", noRes.points_touched,
               noRes.facets_touched, 1e3 * tNoRes);

@@ -4,6 +4,7 @@
 //
 // Paper sizes: 10M points. Default here: PARGEO_N (see bench_common.h).
 #include <functional>
+#include <memory>
 
 #include "bench_common.h"
 #include "pargeo.h"
@@ -13,14 +14,20 @@ using namespace pargeo::bench;
 
 namespace {
 
-void report(const char* name, const std::function<void()>& op) {
+// Times op(setup()) on one thread and on all of them (see time_fresh).
+template <class Setup, class Op>
+void report(const char* name, Setup&& setup, Op&& op) {
   double t1, tp;
   {
     scoped_threads st(1);
-    t1 = time_op(op);
+    t1 = time_fresh(setup, op);
   }
-  tp = time_op(op);  // all available threads
+  tp = time_fresh(setup, op);  // all available threads
   std::printf("%-38s %10.3fs %10.3fs %8.2fx\n", name, t1, tp, t1 / tp);
+}
+
+void report(const char* name, const std::function<void()>& op) {
+  report(name, [] { return 0; }, [&](int) { op(); });
 }
 
 }  // namespace
@@ -55,11 +62,17 @@ int main() {
       bdltree::bdl_tree<5> t;
       t.insert(u5);
     });
-    bdltree::bdl_tree<5> t;
-    t.insert(u5);
+    // Every timed update starts from a fresh tree over the input.
+    const auto built = [&] {
+      auto t = std::make_unique<bdltree::bdl_tree<5>>();
+      t->insert(u5);
+      return t;
+    };
     std::vector<point<5>> b(u5.begin(), u5.begin() + batch);
-    report("Batch-dynamic kd-tree Insert (5d)", [&] { t.insert(b); });
-    report("Batch-dynamic kd-tree Delete (5d)", [&] { t.erase(b); });
+    report("Batch-dynamic kd-tree Insert (5d)", built,
+           [&](auto& t) { t->insert(b); });
+    report("Batch-dynamic kd-tree Delete (5d)", built,
+           [&](auto& t) { t->erase(b); });
   }
   {
     kdtree::tree<2> t2(u2);

@@ -10,7 +10,10 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "core/aabb.h"
@@ -50,7 +53,9 @@ class tree {
     par::parallel_for(0, n, [&](std::size_t i) { ids_[i] = i; });
     // Each internal node has two non-empty children, so node count < 2n.
     // n = 0 still gets one (empty leaf) root so queries need no null checks.
-    arena_.resize(std::max<std::size_t>(1, 2 * n));
+    // Raw storage: only the nodes a build uses (~2n / leaf_size) get touched.
+    arena_cap_ = std::max<std::size_t>(1, 2 * n);
+    arena_.reset(new std::byte[arena_cap_ * sizeof(node)]);
     root_ = build(0, n, compute_box(0, n));
   }
 
@@ -68,10 +73,16 @@ class tree {
   std::vector<knn_buffer::entry> knn(const point<D>& q, std::size_t k) const {
     if (size() == 0 || k == 0) return {};
     knn_buffer buf(std::min(k, size()));
-    knn_node(root_, q, buf);
-    auto out = buf.finish();
-    for (auto& e : out) e.id = ids_[e.id];
-    return out;
+    knn(q, buf, [](std::size_t) { return true; });
+    return buf.finish();
+  }
+
+  /// The same search into a caller-owned buffer, which may already hold
+  /// candidates (ids >= size()); only points whose original index passes
+  /// `live` are offered.
+  template <class Live>
+  void knn(const point<D>& q, knn_buffer& buf, const Live& live) const {
+    knn_node(root_, q, buf, live);
   }
 
   /// Data-parallel batch k-NN: row i of the result is knn(queries[i], k).
@@ -129,8 +140,8 @@ class tree {
   node* alloc_node() {
     const std::size_t idx =
         next_node_.fetch_add(1, std::memory_order_relaxed);
-    assert(idx < arena_.size());
-    return &arena_[idx];
+    assert(idx < arena_cap_);
+    return new (arena_.get() + idx * sizeof(node)) node;
   }
 
   // Partition [lo,hi) so points with coord < pivot come first (ids_ kept in
@@ -243,18 +254,21 @@ class tree {
     return nd;
   }
 
-  void knn_node(const node* nd, const point<D>& q, knn_buffer& buf) const {
+  template <class Live>
+  void knn_node(const node* nd, const point<D>& q, knn_buffer& buf,
+                const Live& live) const {
     if (nd->is_leaf()) {
       for (std::size_t i = nd->lo; i < nd->hi; ++i) {
-        buf.insert(points_[i].dist_sq(q), i);
+        const double d = points_[i].dist_sq(q);
+        if (d <= buf.bound() && live(ids_[i])) buf.insert(d, ids_[i]);
       }
       return;
     }
     const node* near = nd->left;
     const node* far = nd->right;
     if (q[nd->split_dim] >= nd->split_val) std::swap(near, far);
-    if (near->box.dist_sq(q) < buf.bound()) knn_node(near, q, buf);
-    if (far->box.dist_sq(q) < buf.bound()) knn_node(far, q, buf);
+    if (near->box.dist_sq(q) < buf.bound()) knn_node(near, q, buf, live);
+    if (far->box.dist_sq(q) < buf.bound()) knn_node(far, q, buf, live);
   }
 
   void range_box_node(const node* nd, const aabb<D>& qb,
@@ -295,7 +309,8 @@ class tree {
   std::vector<std::size_t> ids_;
   split_policy policy_;
   std::size_t leaf_size_;
-  std::vector<node> arena_;
+  std::unique_ptr<std::byte[]> arena_;  // raw storage for arena_cap_ nodes
+  std::size_t arena_cap_ = 0;
   std::atomic<std::size_t> next_node_{0};
   node* root_ = nullptr;
 };

@@ -21,8 +21,10 @@
 // shares immutably) everything it needs, so queries against it remain
 // exact while the live index absorbs further writes concurrently.
 //
-//   - kdtree: shares the immutable tree + base array and copies the
-//     bounded buffered-writes multisets.
+//   - kdtree: shares the immutable tree + base array and the tombstone and
+//     buffered-insert arrays; the live index copies the last two (one byte
+//     per base point plus the pending inserts) on its first write after a
+//     snapshot, not before.
 //   - zdtree: the adapter is copy-on-write over the Morton array, so a
 //     snapshot is one shared_ptr.
 //   - bdltree: chunk-level COW over the forest — the snapshot copies the
@@ -42,17 +44,19 @@
 //
 // The kd-tree backend is the static baseline the paper compares
 // batch-dynamic structures against: updates are served by rebuilding. A
-// rebuild-threshold policy softens the pathology — writes are buffered in a
-// side multiset and the tree is only rebuilt once the pending volume
-// exceeds a configurable fraction of the indexed set; queries merge the
-// tree's answer with the buffer so results stay exact between rebuilds.
+// rebuild-threshold policy softens the pathology — erases tombstone base
+// points, inserts append to a flat pending array, and the tree is only
+// rebuilt once the pending volume exceeds a configurable fraction of the
+// indexed set. A k-NN query is one tree descent that skips tombstones,
+// seeded with the pending inserts, so results stay exact between rebuilds.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -63,6 +67,7 @@
 #include "core/point.h"
 #include "kdtree/kdtree.h"
 #include "parallel/parallel.h"
+#include "parallel/sort.h"
 #include "query/epoch_reclaim.h"
 #include "zdtree/zdtree.h"
 
@@ -140,8 +145,9 @@ class spatial_index {
   virtual std::uint64_t epoch() const = 0;
 
   /// Publishes a read snapshot of the current contents at the current
-  /// epoch. Cost: O(buffered writes) for kdtree, O(1) for zdtree,
-  /// O(staging buffer + live trees) for bdltree.
+  /// epoch. Cost: O(1) for kdtree (its next write copies the tombstone and
+  /// pending-insert arrays), O(1) for zdtree, O(staging buffer + live
+  /// trees) for bdltree.
   virtual std::shared_ptr<const index_snapshot<D>> snapshot() const = 0;
 
   /// Attach an epoch reclaimer: superseded structure versions are retired
@@ -177,94 +183,68 @@ namespace detail {
 
 /// The kd-tree backend's queryable state: an immutable tree over an
 /// immutable base array (both shared, so views are cheap to copy and
-/// survive rebuild swaps) plus the buffered-writes multisets. All merged
-/// query logic lives here; kdtree_index mutates a view in place and
-/// kdtree snapshots copy one.
+/// survive rebuild swaps), one tombstone per base id for buffered erases,
+/// and a flat array of buffered inserts (both copy-on-write, see
+/// kdtree_index::unshare). All merged query logic lives here.
 template <int D>
 struct kdtree_view {
   std::shared_ptr<const kdtree::tree<D>> tree;
   std::shared_ptr<const std::vector<point<D>>> base;
-  std::map<point<D>, std::size_t> add;  // buffered inserts (with counts)
-  std::map<point<D>, std::size_t> del;  // buffered erases against base
-  std::size_t num_add = 0;
+  std::shared_ptr<std::vector<std::uint8_t>> dead;  // per base id: erased?
+  std::shared_ptr<std::vector<point<D>>> add;       // buffered inserts
   std::size_t num_del = 0;
 
-  std::size_t size() const { return base->size() + num_add - num_del; }
+  std::size_t size() const { return base->size() + add->size() - num_del; }
+  bool live(std::size_t id) const { return (*dead)[id] == 0; }
 
-  // Base copies surviving the erase buffer, plus all buffered inserts —
-  // the view's logical contents.
+  // Live base copies plus all buffered inserts — the view's contents.
   std::vector<point<D>> materialize() const {
     std::vector<point<D>> out;
     out.reserve(size());
-    auto pending_del = del;
-    for (const auto& p : *base) {
-      auto it = pending_del.find(p);
-      if (it != pending_del.end() && it->second > 0) {
-        --it->second;
-        continue;
-      }
-      out.push_back(p);
+    for (std::size_t i = 0; i < base->size(); ++i) {
+      if (live(i)) out.push_back((*base)[i]);
     }
-    for (const auto& [p, c] : add) out.insert(out.end(), c, p);
+    out.insert(out.end(), add->begin(), add->end());
     return out;
   }
 
-  // Drops erased copies from a tree result (ids into *base). Which of the
-  // identical copies of a value gets dropped is immaterial.
-  std::vector<point<D>> filter_base(const std::vector<std::size_t>& ids) const {
-    std::vector<point<D>> out;
-    out.reserve(ids.size());
-    if (del.empty()) {
-      for (std::size_t id : ids) out.push_back((*base)[id]);
-      return out;
-    }
-    std::map<point<D>, std::size_t> skipped;
-    for (std::size_t id : ids) {
-      const auto& p = (*base)[id];
-      auto dit = del.find(p);
-      if (dit != del.end()) {
-        auto& s = skipped[p];
-        if (s < dit->second) {
-          ++s;
-          continue;
-        }
-      }
-      out.push_back(p);
-    }
+  // Row i < n: the live ones among tree hits hits(i) (ids into *base),
+  // then the buffered inserts p with inside(i, p).
+  template <class Hits, class Inside>
+  std::vector<std::vector<point<D>>> filter_rows(std::size_t n,
+                                                 const Hits& hits,
+                                                 const Inside& inside) const {
+    std::vector<std::vector<point<D>>> out(n);
+    par::parallel_for(
+        0, n,
+        [&](std::size_t i) {
+          for (std::size_t id : hits(i)) {
+            if (live(id)) out[i].push_back((*base)[id]);
+          }
+          for (const auto& p : *add) {
+            if (inside(i, p)) out[i].push_back(p);
+          }
+        },
+        16);
     return out;
   }
 
+  // One tree descent into a buffer seeded with the buffered inserts (ids
+  // n + j); tombstoned base copies are skipped inside the traversal, so the
+  // cost does not grow with the number of buffered erases.
   std::vector<point<D>> knn_one(const point<D>& q, std::size_t k) const {
-    if (k == 0 || size() == 0) return {};
-    // Over-fetch by the erase-buffer size: of the k + num_del nearest base
-    // points at most num_del are erased, so >= min(k, live) survive.
-    auto entries = tree->knn(q, k + num_del);
-    std::vector<std::pair<double, point<D>>> cand;
-    cand.reserve(entries.size() + num_add);
-    std::map<point<D>, std::size_t> skipped;
-    for (const auto& e : entries) {
-      const auto& p = (*base)[e.id];
-      auto dit = del.find(p);
-      if (dit != del.end()) {
-        auto& s = skipped[p];
-        if (s < dit->second) {
-          ++s;
-          continue;
-        }
-      }
-      cand.emplace_back(e.dist_sq, p);
+    k = std::min(k, size());
+    if (k == 0) return {};
+    const std::size_t n = base->size();
+    kdtree::knn_buffer buf(k);
+    for (std::size_t j = 0; j < add->size(); ++j) {
+      buf.insert((*add)[j].dist_sq(q), n + j);
     }
-    for (const auto& [p, c] : add) {
-      cand.insert(cand.end(), c, std::make_pair(p.dist_sq(q), p));
-    }
-    std::stable_sort(cand.begin(), cand.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
+    tree->knn(q, buf, [this](std::size_t id) { return live(id); });
     std::vector<point<D>> out;
-    out.reserve(std::min(k, cand.size()));
-    for (std::size_t i = 0; i < cand.size() && i < k; ++i) {
-      out.push_back(cand[i].second);
+    out.reserve(k);
+    for (const auto& e : buf.finish()) {
+      out.push_back(e.id < n ? (*base)[e.id] : (*add)[e.id - n]);
     }
     return out;
   }
@@ -280,44 +260,28 @@ struct kdtree_view {
 
   std::vector<std::vector<point<D>>> batch_range(
       const std::vector<aabb<D>>& boxes) const {
-    std::vector<std::vector<point<D>>> out(boxes.size());
-    par::parallel_for(
-        0, boxes.size(),
-        [&](std::size_t i) {
-          out[i] = filter_base(tree->range_box(boxes[i]));
-          for (const auto& [p, c] : add) {
-            if (boxes[i].contains(p)) out[i].insert(out[i].end(), c, p);
-          }
-        },
-        16);
-    return out;
+    return filter_rows(
+        boxes.size(), [&](std::size_t i) { return tree->range_box(boxes[i]); },
+        [&](std::size_t i, const point<D>& p) { return boxes[i].contains(p); });
   }
 
   std::vector<std::vector<point<D>>> batch_ball(
       const std::vector<point<D>>& centers,
       const std::vector<double>& radii) const {
-    std::vector<std::vector<point<D>>> out(centers.size());
-    par::parallel_for(
-        0, centers.size(),
-        [&](std::size_t i) {
-          out[i] = filter_base(tree->range_ball(centers[i], radii[i]));
-          for (const auto& [p, c] : add) {
-            if (p.dist_sq(centers[i]) <= radii[i] * radii[i]) {
-              out[i].insert(out[i].end(), c, p);
-            }
-          }
-        },
-        16);
-    return out;
+    return filter_rows(
+        centers.size(),
+        [&](std::size_t i) { return tree->range_ball(centers[i], radii[i]); },
+        [&](std::size_t i, const point<D>& p) {
+          return p.dist_sq(centers[i]) <= radii[i] * radii[i];
+        });
   }
 };
 
 }  // namespace detail
 
-/// Isolated kd-tree snapshot: shares the immutable tree + base array with
-/// the live index and owns a copy of the (bounded) buffered-writes
-/// multisets, so it answers exactly as of its epoch regardless of what the
-/// live index does afterwards.
+/// Isolated kd-tree snapshot: shares the tree, base, tombstones and buffered
+/// inserts of its epoch (the live index copies the last two before writing
+/// again), so it answers exactly as of its epoch whatever happens later.
 template <int D>
 class kdtree_snapshot final : public index_snapshot<D> {
  public:
@@ -348,7 +312,7 @@ class kdtree_snapshot final : public index_snapshot<D> {
 };
 
 /// Static kd-tree backend with a rebuild-threshold policy: writes accumulate
-/// in a pending buffer (insert counts plus erase counts against the indexed
+/// in a pending buffer (buffered inserts plus tombstones on the indexed
 /// base) and the tree is only rebuilt when the pending volume exceeds
 /// `rebuild_threshold` times the base size (threshold <= 0: rebuild on every
 /// write batch, the paper's pure static baseline). Queries merge the tree's
@@ -369,8 +333,7 @@ class kdtree_index final : public spatial_index<D> {
       double rebuild_threshold = kDefaultRebuildThreshold)
       : policy_(policy), leaf_size_(leaf_size),
         rebuild_threshold_(rebuild_threshold) {
-    view_.base = std::make_shared<const std::vector<point<D>>>();
-    rebuild();
+    rebuild(std::make_shared<const std::vector<point<D>>>());
   }
 
   backend kind() const override { return backend::kdtree; }
@@ -382,58 +345,62 @@ class kdtree_index final : public spatial_index<D> {
   /// Observability for the rebuild policy: trees built so far and writes
   /// currently buffered.
   std::size_t rebuild_count() const { return rebuilds_; }
-  std::size_t pending_writes() const { return view_.num_add + view_.num_del; }
+  std::size_t pending_writes() const {
+    return view_.add->size() + view_.num_del;
+  }
 
   std::shared_ptr<const index_snapshot<D>> snapshot() const override {
+    shared_.store(true, std::memory_order_relaxed);
     return std::make_shared<kdtree_snapshot<D>>(view_, epoch());
   }
 
   void set_reclaimer(epoch_reclaimer* r) override { reclaim_ = r; }
 
   void build(const std::vector<point<D>>& pts) override {
-    retire_ptr(view_.base);
-    view_.base = std::make_shared<const std::vector<point<D>>>(pts);
-    clear_pending();
-    rebuild();
+    rebuild(std::make_shared<const std::vector<point<D>>>(pts));
     bump_epoch();
   }
 
   void batch_insert(const std::vector<point<D>>& pts) override {
     if (pts.empty()) return;
-    for (const auto& p : pts) {
-      ++view_.add[p];
-      ++view_.num_add;
-    }
+    unshare();
+    view_.add->insert(view_.add->end(), pts.begin(), pts.end());
+    for (const auto& p : pts) maybe_added_[bucket(p)] = true;
     bump_epoch();
     maybe_rebuild();
   }
 
   void batch_erase(const std::vector<point<D>>& pts) override {
-    if (pts.empty() || size() == 0) return;
+    const std::size_t before = size();
     // Multiset removal: each batch entry consumes at most one stored copy —
-    // a buffered insert if one exists, else a live base copy.
-    bool changed = false;
+    // a buffered insert if one exists (scanned for only when the filter
+    // admits the point), else a live base copy.
+    const auto& base = *view_.base;
     for (const auto& p : pts) {
-      auto ait = view_.add.find(p);
-      if (ait != view_.add.end() && ait->second > 0) {
-        if (--ait->second == 0) view_.add.erase(ait);
-        --view_.num_add;
-        changed = true;
+      const auto& add = *view_.add;  // unshare() below may replace it
+      const auto j = maybe_added_[bucket(p)]
+                         ? std::find(add.begin(), add.end(), p) - add.begin()
+                         : add.size();
+      if (j < add.size()) {
+        unshare();
+        (*view_.add)[j] = view_.add->back();  // pending order is immaterial
+        view_.add->pop_back();
         continue;
       }
-      auto bit = base_count_.find(p);
-      const std::size_t in_base = bit == base_count_.end() ? 0 : bit->second;
-      auto dit = view_.del.find(p);
-      const std::size_t already = dit == view_.del.end() ? 0 : dit->second;
-      if (in_base > already) {
-        ++view_.del[p];
+      auto it = std::lower_bound(
+          by_value_.begin(), by_value_.end(), p,
+          [&](std::size_t id, const point<D>& v) { return base[id] < v; });
+      for (; it != by_value_.end() && base[*it] == p; ++it) {
+        if (!view_.live(*it)) continue;
+        unshare();
+        (*view_.dead)[*it] = 1;
         ++view_.num_del;
-        changed = true;
+        break;
       }
     }
     // A batch that matched nothing changed nothing: the epoch (and any
     // snapshot-lag accounting built on it) must not move.
-    if (!changed) return;
+    if (size() == before) return;
     bump_epoch();
     maybe_rebuild();
   }
@@ -460,8 +427,7 @@ class kdtree_index final : public spatial_index<D> {
   void bump_epoch() { epoch_.fetch_add(1, std::memory_order_release); }
 
   void maybe_rebuild() {
-    const std::size_t pending = view_.num_add + view_.num_del;
-    if (pending == 0) return;  // e.g. an erase batch that matched nothing
+    const std::size_t pending = pending_writes();
     // Queries pay O(pending) for the buffer merge, so an absolute cap
     // bounds per-query cost even when the fractional threshold would let
     // the buffer grow with the tree.
@@ -470,40 +436,64 @@ class kdtree_index final : public spatial_index<D> {
             rebuild_threshold_ * static_cast<double>(view_.base->size())) {
       return;
     }
-    retire_ptr(view_.base);
-    view_.base =
-        std::make_shared<const std::vector<point<D>>>(view_.materialize());
-    clear_pending();
-    rebuild();
+    rebuild(std::make_shared<const std::vector<point<D>>>(view_.materialize()));
   }
 
-  void clear_pending() {
-    view_.add.clear();
-    view_.del.clear();
-    view_.num_add = view_.num_del = 0;
-  }
-
-  // Builds a fresh immutable tree over the current base and publishes it by
-  // shared_ptr swap — live snapshots keep the tree they captured; the
-  // superseded tree goes to the reclaimer's limbo list when one is attached.
-  void rebuild() {
-    retire_ptr(view_.tree);
+  // Publishes a fresh immutable tree over `base` with empty write buffers;
+  // snapshots keep the versions they captured.
+  void rebuild(std::shared_ptr<const std::vector<point<D>>> base) {
+    retire_view();
+    const std::size_t n = base->size();
+    view_.base = std::move(base);
     view_.tree = std::make_shared<const kdtree::tree<D>>(*view_.base, policy_,
                                                          leaf_size_);
-    base_count_.clear();
-    for (const auto& p : *view_.base) ++base_count_[p];
+    view_.dead = std::make_shared<std::vector<std::uint8_t>>(n);
+    view_.add = std::make_shared<std::vector<point<D>>>();
+    view_.num_del = 0;
+    shared_.store(false, std::memory_order_relaxed);
+    maybe_added_.assign(kFilterBits, false);
+    // Erase lookup: base ids ordered by point value.
+    by_value_.resize(n);
+    std::iota(by_value_.begin(), by_value_.end(), std::size_t{0});
+    par::sort(by_value_, [&](std::size_t a, std::size_t b) {
+      return (*view_.base)[a] < (*view_.base)[b];
+    });
     ++rebuilds_;
   }
 
-  void retire_ptr(std::shared_ptr<const void> p) {
-    if (reclaim_ && p) reclaim_->retire(std::move(p));
+  // Bit of p in maybe_added_, a filter set by each buffered insert and
+  // cleared at rebuild: erases skip the buffered-insert scan on a clear bit.
+  static std::size_t bucket(const point<D>& p) {
+    std::size_t h = 0;
+    for (int d = 0; d < D; ++d) h = h * 31 + std::hash<double>{}(p[d]);
+    return h % kFilterBits;
+  }
+
+  // Copy-on-write for the write buffers: a snapshot taken since the last
+  // copy may share them, so the live view copies both before mutating.
+  void unshare() {
+    if (!shared_.exchange(false, std::memory_order_relaxed)) return;
+    retire_view();
+    view_.dead = std::make_shared<std::vector<std::uint8_t>>(*view_.dead);
+    view_.add = std::make_shared<std::vector<point<D>>>(*view_.add);
+  }
+
+  // Superseded structure versions go to the reclaimer's limbo list when one
+  // is attached (else the shared_ptrs free them).
+  void retire_view() {
+    if (reclaim_) {
+      reclaim_->retire(std::make_shared<detail::kdtree_view<D>>(view_));
+    }
   }
 
   kdtree::split_policy policy_;
   std::size_t leaf_size_;
   double rebuild_threshold_;
   detail::kdtree_view<D> view_;
-  std::map<point<D>, std::size_t> base_count_;
+  std::vector<std::size_t> by_value_;
+  static constexpr std::size_t kFilterBits = std::size_t{1} << 16;
+  std::vector<bool> maybe_added_;
+  mutable std::atomic<bool> shared_{false};
   std::size_t rebuilds_ = 0;
   std::atomic<std::uint64_t> epoch_{0};
   epoch_reclaimer* reclaim_ = nullptr;

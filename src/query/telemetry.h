@@ -463,6 +463,7 @@ class telemetry {
   std::vector<trace_span> spans() const {
     std::lock_guard<std::mutex> lk(trace_mu_);
     std::vector<trace_span> out;
+    if (ring_.empty()) return out;  // no trace ring below trace level
     out.reserve(ring_size_);
     const std::size_t start =
         (ring_head_ + ring_.size() - ring_size_) % ring_.size();

@@ -1,10 +1,11 @@
 // Unit tests for the epoch/snapshot layer of spatial_index (layer 1):
 // write epochs advance monotonically on every content change; isolated
-// snapshots (kdtree: shared tree + copied write buffers, zdtree:
-// copy-on-write Morton array, bdltree: chunk-level COW forest view) keep
-// answering exactly as of their epoch while the live index absorbs
-// further writes; and query_engine::execute_reads drives a read-only
-// batch through a snapshot (and rejects writes).
+// snapshots (kdtree: shared tree, tombstones and buffered inserts, copied
+// by the live index only before its next write; zdtree: copy-on-write
+// Morton array; bdltree: chunk-level COW forest view) keep answering
+// exactly as of their epoch while the live index absorbs further writes;
+// and query_engine::execute_reads drives a read-only batch through a
+// snapshot (and rejects writes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -231,4 +232,148 @@ TEST(SnapshotReads, ExecuteReadsRunsABatchAgainstASnapshot) {
       query::request<2>::make_insert(point<2>{{1, 1}})};
   EXPECT_THROW(query::query_engine<2>::execute_reads(writes, *snap),
                std::logic_error);
+}
+
+namespace {
+
+// Brute-force multiset model of a kd-tree index, compared query by query.
+struct kd_model {
+  std::vector<point<2>> pts;
+
+  void erase(const std::vector<point<2>>& victims) {
+    for (const auto& v : victims) {
+      auto it = std::find(pts.begin(), pts.end(), v);
+      if (it != pts.end()) pts.erase(it);
+    }
+  }
+
+  // k-NN distances, box and ball multisets of `target` (the live index or
+  // a snapshot) must equal brute force over `pts`.
+  template <class Target>
+  void expect_matches(const Target& target,
+                      const std::vector<point<2>>& probes) const {
+    EXPECT_EQ(target.size(), pts.size());
+    for (std::size_t k : {1u, 8u, 40u}) {
+      auto rows = target.batch_knn(probes, k);
+      for (std::size_t i = 0; i < probes.size(); ++i) {
+        auto expect = testutil::brute_knn_dists(pts, probes[i], k);
+        ASSERT_EQ(rows[i].size(), expect.size()) << "k=" << k;
+        for (std::size_t j = 0; j < expect.size(); ++j) {
+          EXPECT_EQ(rows[i][j].dist_sq(probes[i]), expect[j])
+              << "k=" << k << " query " << i << " row " << j;
+        }
+      }
+    }
+    std::vector<aabb<2>> boxes;
+    std::vector<double> radii;
+    for (const auto& p : probes) {
+      boxes.emplace_back(p - point<2>{{1.5, 1.5}}, p + point<2>{{1.5, 1.5}});
+      radii.push_back(1.5);
+    }
+    auto box_rows = target.batch_range(boxes);
+    auto ball_rows = target.batch_ball(probes, radii);
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      std::vector<point<2>> in_box, in_ball;
+      for (const auto& p : pts) {
+        if (boxes[i].contains(p)) in_box.push_back(p);
+        if (p.dist_sq(probes[i]) <= radii[i] * radii[i]) in_ball.push_back(p);
+      }
+      for (auto* v : {&in_box, &in_ball, &box_rows[i], &ball_rows[i]}) {
+        std::sort(v->begin(), v->end());
+      }
+      EXPECT_EQ(box_rows[i], in_box) << "box " << i;
+      EXPECT_EQ(ball_rows[i], in_ball) << "ball " << i;
+    }
+  }
+};
+
+}  // namespace
+
+TEST(SnapshotIsolation, KdtreeSnapshotAcrossBufferedErasesAndInserts) {
+  // Every write below stays inside the kd-tree's write buffer (no
+  // rebuild), so the snapshot and the live index share one tree and differ
+  // only in tombstones and buffered inserts.
+  query::kdtree_index<2> idx;
+  const point<2> dup{{7.25, 7.25}};
+  kd_model model{datagen::uniform<2>(600, 51)};
+  model.pts.insert(model.pts.end(), 5, dup);
+  idx.build(model.pts);
+  const point<2> buffered{{3.5, 9.5}};
+  idx.batch_insert({buffered, dup});
+  model.pts.push_back(buffered);
+  model.pts.push_back(dup);
+  const std::size_t rebuilds = idx.rebuild_count();
+
+  const kd_model at_snapshot = model;
+  auto snap = idx.snapshot();
+  const auto epoch = snap->epoch();
+  const std::vector<point<2>> probes{dup, buffered, point<2>{{7, 7}},
+                                     point<2>{{12, 3}}, point<2>{{20, 20}}};
+
+  // Three copies of the duplicated value (one buffered, two from the
+  // base), the buffered-only point, a point never stored, then new inserts
+  // (one of them the duplicated value again).
+  const std::vector<point<2>> erases{dup, dup, dup, buffered,
+                                     point<2>{{-1, -1}}};
+  idx.batch_erase(erases);
+  model.erase(erases);
+  const auto fresh = datagen::uniform<2>(30, 53);
+  idx.batch_insert(fresh);
+  idx.batch_insert({dup});
+  model.pts.insert(model.pts.end(), fresh.begin(), fresh.end());
+  model.pts.push_back(dup);
+  ASSERT_EQ(idx.rebuild_count(), rebuilds) << "writes must stay buffered";
+
+  EXPECT_EQ(snap->epoch(), epoch);
+  EXPECT_GT(idx.epoch(), epoch);
+  at_snapshot.expect_matches(*snap, probes);
+  model.expect_matches(idx, probes);
+
+  // Erasing every remaining copy of the duplicated value, a second
+  // snapshot, and a further erase keep both views exact.
+  const std::vector<point<2>> all_dups(4, dup);
+  idx.batch_erase(all_dups);
+  model.erase(all_dups);
+  const kd_model at_second = model;
+  auto snap2 = idx.snapshot();
+  idx.batch_erase({fresh[0], fresh[1]});
+  model.erase({fresh[0], fresh[1]});
+  ASSERT_EQ(idx.rebuild_count(), rebuilds);
+  at_snapshot.expect_matches(*snap, probes);
+  at_second.expect_matches(*snap2, probes);
+  model.expect_matches(idx, probes);
+  EXPECT_EQ(std::count(model.pts.begin(), model.pts.end(), dup), 0);
+}
+
+TEST(SnapshotIsolation, KdtreeKnnWithFarMoreErasesThanK) {
+  // 500 buffered erases around one query and k = 8: filtering erased
+  // points only after the search would need the k + 500 nearest here. The
+  // live index must skip all of them; a snapshot taken before must still
+  // see them.
+  query::kdtree_index<2> idx;
+  kd_model model{datagen::uniform<2>(4000, 57)};
+  idx.build(model.pts);
+  const std::size_t rebuilds = idx.rebuild_count();
+  const point<2> q = model.pts[17];
+  auto snap = idx.snapshot();
+  const kd_model at_snapshot = model;
+
+  auto by_dist = model.pts;
+  std::sort(by_dist.begin(), by_dist.end(),
+            [&](const point<2>& a, const point<2>& b) {
+              return a.dist_sq(q) < b.dist_sq(q);
+            });
+  by_dist.resize(500);
+  idx.batch_erase(by_dist);
+  model.erase(by_dist);
+  ASSERT_EQ(idx.rebuild_count(), rebuilds) << "erases must stay buffered";
+  ASSERT_EQ(idx.pending_writes(), 500u);
+
+  model.expect_matches(idx, {q, model.pts[0], point<2>{{30, 30}}});
+  at_snapshot.expect_matches(*snap, {q});
+  auto row = idx.batch_knn({q}, 8)[0];
+  ASSERT_EQ(row.size(), 8u);
+  for (const auto& p : row) {
+    EXPECT_GT(p.dist_sq(q), by_dist.back().dist_sq(q) - 1e-12);
+  }
 }

@@ -1,9 +1,13 @@
 // Tests for the static parallel kd-tree: construction invariants, k-NN
 // and range search vs brute force, across dims / split policies /
-// distributions (parameterized sweeps).
+// distributions (parameterized sweeps), and the buffered k-NN entry point
+// with a liveness predicate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "datagen/datagen.h"
 #include "kdtree/kdtree.h"
@@ -206,4 +210,160 @@ TEST(Kdtree, IdsMapBackToInputOrder) {
     ids.insert(t.id_of(i));
   }
   EXPECT_EQ(ids.size(), pts.size());
+}
+
+// ---- buffered, liveness-filtered k-NN --------------------------------------
+// The entry point the kd-tree serving adapter queries through: a
+// caller-owned buffer that may already hold candidates (ids >= size()) and
+// a predicate that hides erased points inside the traversal.
+
+namespace {
+
+// Runs tree::knn(q, buf, live) with `seeds` pre-inserted as ids n + j and
+// checks it against brute force over the seeds plus every live point:
+// same distances in order, each id live (or a seed), no id twice, and
+// every entry's distance belongs to its id.
+void expect_filtered_knn_matches_brute(const kdtree::tree<2>& t,
+                                       const std::vector<point<2>>& pts,
+                                       const std::vector<point<2>>& seeds,
+                                       const std::vector<std::uint8_t>& dead,
+                                       const point<2>& q, std::size_t k) {
+  const std::size_t n = pts.size();
+  kdtree::knn_buffer buf(k);
+  for (std::size_t j = 0; j < seeds.size(); ++j) {
+    buf.insert(seeds[j].dist_sq(q), n + j);
+  }
+  t.knn(q, buf, [&](std::size_t id) { return dead[id] == 0; });
+  const auto got = buf.finish();
+
+  std::vector<double> want;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (dead[i] == 0) want.push_back(pts[i].dist_sq(q));
+  }
+  for (const auto& s : seeds) want.push_back(s.dist_sq(q));
+  std::sort(want.begin(), want.end());
+  want.resize(std::min(k, want.size()));
+
+  ASSERT_EQ(got.size(), want.size());
+  std::set<std::size_t> seen;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].dist_sq, want[i]) << "row " << i;
+    const bool seeded = got[i].id >= n;
+    if (!seeded) EXPECT_EQ(dead[got[i].id], 0) << "erased id returned";
+    const auto& p = seeded ? seeds[got[i].id - n] : pts[got[i].id];
+    EXPECT_EQ(p.dist_sq(q), got[i].dist_sq) << "row " << i;
+    EXPECT_TRUE(seen.insert(got[i].id).second) << "id twice: " << got[i].id;
+  }
+}
+
+// Original ids grouped by leaf, in tree order.
+std::vector<std::vector<std::size_t>> leaf_ids(const kdtree::tree<2>& t) {
+  std::vector<std::vector<std::size_t>> out;
+  std::vector<const kdtree::tree<2>::node*> stack{t.root()};
+  while (!stack.empty()) {
+    const auto* nd = stack.back();
+    stack.pop_back();
+    if (nd->is_leaf()) {
+      out.emplace_back();
+      for (std::size_t i = nd->lo; i < nd->hi; ++i) {
+        out.back().push_back(t.id_of(i));
+      }
+    } else {
+      stack.push_back(nd->left);
+      stack.push_back(nd->right);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(KdtreeFilteredKnn, PreSeededBufferMatchesBrute) {
+  const auto pts = datagen::uniform<2>(3000, 31);
+  kdtree::tree<2> t(pts);
+  const std::vector<std::uint8_t> none(pts.size(), 0);
+  const auto seeds = datagen::uniform<2>(60, 32);
+  for (int q = 0; q < 20; ++q) {
+    expect_filtered_knn_matches_brute(t, pts, seeds, none, seeds[q], 8);
+    expect_filtered_knn_matches_brute(t, pts, seeds, none, pts[q * 97], 8);
+  }
+  // The wrapper is the same traversal with no seeds and nothing erased.
+  auto plain = t.knn(pts[5], 8);
+  kdtree::knn_buffer buf(8);
+  t.knn(pts[5], buf, [](std::size_t) { return true; });
+  auto via_buffer = buf.finish();
+  ASSERT_EQ(plain.size(), via_buffer.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(plain[i].id, via_buffer[i].id);
+  }
+}
+
+TEST(KdtreeFilteredKnn, PredicateKillingWholeLeaves) {
+  const auto pts = datagen::uniform<2>(4000, 33);
+  kdtree::tree<2> t(pts);
+  const auto leaves = leaf_ids(t);
+  ASSERT_GT(leaves.size(), 8u);
+  // Every other leaf dies outright, and so do all leaves around pts[0]
+  // (its 300 nearest neighbours' leaves), so the nearest live points sit
+  // several leaves away from the query.
+  std::vector<std::uint8_t> dead(pts.size(), 0);
+  for (std::size_t l = 0; l < leaves.size(); l += 2) {
+    for (std::size_t id : leaves[l]) dead[id] = 1;
+  }
+  std::vector<std::uint8_t> near_leaf(leaves.size(), 0);
+  std::vector<std::size_t> leaf_of(pts.size());
+  for (std::size_t l = 0; l < leaves.size(); ++l) {
+    for (std::size_t id : leaves[l]) leaf_of[id] = l;
+  }
+  for (const auto& e : t.knn(pts[0], 300)) near_leaf[leaf_of[e.id]] = 1;
+  for (std::size_t l = 0; l < leaves.size(); ++l) {
+    if (near_leaf[l]) {
+      for (std::size_t id : leaves[l]) dead[id] = 1;
+    }
+  }
+  const std::vector<point<2>> no_seeds;
+  for (int q = 0; q < 20; ++q) {
+    expect_filtered_knn_matches_brute(t, pts, no_seeds, dead, pts[q * 61], 8);
+  }
+  expect_filtered_knn_matches_brute(t, pts, no_seeds, dead, pts[0], 8);
+  expect_filtered_knn_matches_brute(t, pts, datagen::uniform<2>(5, 34), dead,
+                                    pts[0], 8);
+}
+
+TEST(KdtreeFilteredKnn, KLargerThanLiveCount) {
+  const auto pts = datagen::uniform<2>(500, 35);
+  kdtree::tree<2> t(pts);
+  std::vector<std::uint8_t> dead(pts.size(), 1);
+  for (std::size_t id : {3u, 77u, 150u, 151u, 499u}) dead[id] = 0;
+  const auto seeds = datagen::uniform<2>(2, 36);
+  // 5 live points + 2 seeds < k: every one of them comes back.
+  expect_filtered_knn_matches_brute(t, pts, seeds, dead, pts[10], 20);
+  expect_filtered_knn_matches_brute(t, pts, {}, dead, pts[10], 20);
+  // Nothing live and no seeds: an empty row.
+  const std::vector<std::uint8_t> all_dead(pts.size(), 1);
+  kdtree::knn_buffer buf(4);
+  t.knn(pts[0], buf, [&](std::size_t id) { return all_dead[id] == 0; });
+  EXPECT_TRUE(buf.finish().empty());
+}
+
+TEST(KdtreeFilteredKnn, DuplicateAndEquidistantPoints) {
+  // 300 copies of one value plus an integer lattice, so most distances
+  // tie; half the copies are erased.
+  std::vector<point<2>> pts(300, point<2>{{5, 5}});
+  for (int x = 0; x < 20; ++x) {
+    for (int y = 0; y < 20; ++y) {
+      pts.push_back(point<2>{{static_cast<double>(x), static_cast<double>(y)}});
+    }
+  }
+  kdtree::tree<2> t(pts);
+  std::vector<std::uint8_t> dead(pts.size(), 0);
+  for (std::size_t i = 0; i < 300; i += 2) dead[i] = 1;
+  const std::vector<point<2>> seeds(4, point<2>{{5, 5}});
+  for (std::size_t k : {1u, 8u, 150u, 154u, 160u, 400u}) {
+    expect_filtered_knn_matches_brute(t, pts, seeds, dead, point<2>{{5, 5}}, k);
+    expect_filtered_knn_matches_brute(t, pts, {}, dead, point<2>{{5.5, 5.5}},
+                                      k);
+    expect_filtered_knn_matches_brute(t, pts, seeds, dead,
+                                      point<2>{{12.5, 3}}, k);
+  }
 }

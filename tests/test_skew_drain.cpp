@@ -241,6 +241,10 @@ TEST(SkewDrain, RebalanceFlattensShardSizesAndKeepsContents) {
   // fulfilled, so execute() returning does not mean it is recorded yet.
   wait_until([&] { return service.stats().rebalances >= 1; },
              "rebalance never triggered on the skewed write group");
+  // The stats counters are relaxed atomics: they show the rebalance ran
+  // but do not order its writes before this thread's reads of the shards.
+  // A request submitted now is drained after it, so its completion does.
+  service.execute({query::request<2>::make_knn(point<2>{{0, 0}}, 1)});
   const auto stats = service.stats();
   EXPECT_GE(stats.rebalances, 1u);
   EXPECT_GT(stats.rebalance_moved, 0u);
@@ -387,6 +391,8 @@ TEST(SkewDrain, RebalanceChasesDriftAtFlatResidentTotal) {
   svc.execute(phase2);
   wait_until([&] { return svc.stats().rebalances >= 2; },
              "rebalance never chased the drifted hot region");
+  // Barrier before reading the shards (see the rebalance test above).
+  svc.execute({query::request<2>::make_knn(point<2>{{0, 0}}, 1)});
   EXPECT_EQ(svc.size(), 900u);
 }
 

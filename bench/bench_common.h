@@ -134,6 +134,12 @@ inline void print_row(const std::string& dataset, const std::string& method,
               ms);
 }
 
+inline void print_row_us(const std::string& dataset,
+                         const std::string& method, double us) {
+  std::printf("%-18s %-16s %12.2f us\n", dataset.c_str(), method.c_str(),
+              us);
+}
+
 inline void print_throughput_row(const std::string& impl, int threads,
                                  double ops_per_sec) {
   std::printf("%-14s threads=%-3d %14.0f ops/s\n", impl.c_str(), threads,

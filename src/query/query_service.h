@@ -75,7 +75,7 @@
 //   the shard's earlier writes — per-shard FIFO again — and the fully
 //   stamped group executes on a snapshot-read executor pool
 //   (`read_threads`). Every backend's snapshots are isolated (kdtree:
-//   shared tree + copied write buffers; zdtree: copy-on-write Morton
+//   shared tree + copied write buffers; zdtree: chunk-level COW Morton
 //   array; bdltree: chunk-level COW forest view), so those reads run
 //   fully concurrently with the next write drains on every shard — the
 //   per-shard write gate that used to pin bdltree snapshots is gone.

@@ -26,7 +26,9 @@
 //     per base point plus the pending inserts) on its first write after a
 //     snapshot, not before.
 //   - zdtree: the adapter is copy-on-write over the Morton array, so a
-//     snapshot is one shared_ptr.
+//     snapshot is one shared_ptr. The array is cut into immutable chunks
+//     shared between versions: a write copies the O(n/C) chunk pointer
+//     vector and rebuilds only the chunks it touches (see zdtree.h).
 //   - bdltree: chunk-level COW over the forest — the snapshot copies the
 //     bounded staging buffer and shares the static vEB trees; inserts
 //     replace whole trees and erases copy any shared tree before mutating
@@ -36,7 +38,8 @@
 //
 // *Reclamation.* Each adapter accepts an optional `epoch_reclaimer`
 // (`set_reclaimer`, see epoch_reclaim.h): superseded structure versions —
-// a swapped-out kd-tree/base array, an old Morton array, a replaced vEB
+// a swapped-out kd-tree/base array, an old Morton-array version (its
+// pointer vector plus the chunks no later version shares), a replaced vEB
 // tree — are retired onto the reclaimer's limbo list instead of freed at
 // the swap site, and destroyed at drain-boundary reclaim points once every
 // reader epoch has advanced past them. Without a reclaimer the shared_ptr
@@ -560,11 +563,13 @@ class zdtree_snapshot final : public index_snapshot<D> {
 };
 
 /// Morton-array backend (2D/3D only, like the original Zd-tree): updates
-/// are sorted merges/filters, queries run over the implicit segment
-/// hierarchy. The adapter is copy-on-write: each write batch derives a new
-/// array version and publishes it by shared_ptr swap, which makes snapshots
-/// O(1) and fully isolated (the array merge already rewrites O(n + B)
-/// elements, so the extra copy only changes the constant).
+/// are sorted merges/filters of the touched chunks, queries run over the
+/// chunk and segment box hierarchy. The adapter is copy-on-write: each
+/// write batch copies the tree's chunk pointer vector (O(n/C)), rebuilds
+/// the chunks the batch touches and publishes the new version by
+/// shared_ptr swap, which makes snapshots O(1) and fully isolated. A
+/// retired version pins only the chunks the live version no longer
+/// shares.
 template <int D>
 class zdtree_index final : public spatial_index<D> {
   static_assert(D == 2 || D == 3, "zd_tree supports 2D and 3D only");

@@ -1,11 +1,11 @@
 // Unit tests for the epoch/snapshot layer of spatial_index (layer 1):
 // write epochs advance monotonically on every content change; isolated
 // snapshots (kdtree: shared tree, tombstones and buffered inserts, copied
-// by the live index only before its next write; zdtree: copy-on-write
-// Morton array; bdltree: chunk-level COW forest view) keep answering
-// exactly as of their epoch while the live index absorbs further writes;
-// and query_engine::execute_reads drives a read-only batch through a
-// snapshot (and rejects writes).
+// by the live index only before its next write; zdtree: chunk-level
+// copy-on-write Morton array; bdltree: chunk-level COW forest view) keep
+// answering exactly as of their epoch while the live index absorbs further
+// writes; and query_engine::execute_reads drives a read-only batch through
+// a snapshot (and rejects writes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -139,6 +139,10 @@ TEST(SnapshotIsolation, ZdtreeSnapshotIgnoresLaterWrites2D) {
   expect_isolated_from_later_writes<2>(backend::zdtree);
 }
 
+TEST(SnapshotIsolation, ZdtreeSnapshotIgnoresLaterWrites3D) {
+  expect_isolated_from_later_writes<3>(backend::zdtree);
+}
+
 TEST(SnapshotIsolation, KdtreeSnapshotSurvivesRebuild) {
   // A rebuild swaps the live tree + base arrays; a snapshot taken before
   // must keep answering from the structures it captured.
@@ -203,6 +207,86 @@ TEST(SnapshotIsolation, BdltreeSnapshotSurvivesManyWriteRounds) {
       EXPECT_EQ(rows[i][j].dist_sq(queries[i]), expect[j]);
     }
   }
+}
+
+namespace {
+
+// k-NN distances, box contents and ball contents of `view` (a snapshot or
+// a live index) against brute force over `model`.
+template <class View>
+void expect_matches_model(const View& view,
+                          const std::vector<point<2>>& model) {
+  ASSERT_EQ(view.size(), model.size());
+  const auto queries = datagen::uniform<2>(6, 77);
+  auto rows = view.batch_knn(queries, 5);
+  std::vector<aabb<2>> boxes;
+  std::vector<double> radii;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    auto expect = testutil::brute_knn_dists(model, queries[i], 5);
+    ASSERT_EQ(rows[i].size(), expect.size()) << "query " << i;
+    for (std::size_t j = 0; j < expect.size(); ++j) {
+      EXPECT_EQ(rows[i][j].dist_sq(queries[i]), expect[j]) << "query " << i;
+    }
+    const point<2> half{{4.0, 4.0}};
+    boxes.emplace_back(queries[i] - half, queries[i] + half);
+    radii.push_back(3.0);
+  }
+  auto in_box = view.batch_range(boxes);
+  auto in_ball = view.batch_ball(queries, radii);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    std::vector<point<2>> want_box, want_ball;
+    for (const auto& p : model) {
+      if (boxes[i].contains(p)) want_box.push_back(p);
+      if (p.dist_sq(queries[i]) <= radii[i] * radii[i]) {
+        want_ball.push_back(p);
+      }
+    }
+    for (auto* v : {&in_box[i], &in_ball[i], &want_box, &want_ball}) {
+      std::sort(v->begin(), v->end());
+    }
+    EXPECT_EQ(in_box[i], want_box) << "query " << i;
+    EXPECT_EQ(in_ball[i], want_ball) << "query " << i;
+  }
+}
+
+}  // namespace
+
+TEST(SnapshotIsolation, ZdtreeSnapshotSurvivesManyWriteRounds) {
+  // About 2,000 single-point writes rebuild, split, merge and drop
+  // Morton-array chunks, and every superseded version is retired through
+  // the epoch reclaimer and freed at the reclaim points in between. A
+  // snapshot captured up front must keep answering from its own chunks,
+  // and the live index must match the current contents.
+  query::epoch_reclaimer rec;
+  auto idx = query::make_index<2>(backend::zdtree);
+  idx->set_reclaimer(&rec);
+  const auto initial = datagen::uniform<2>(1500, 71);
+  idx->build(initial);
+  auto snap = idx->snapshot();
+  ASSERT_TRUE(snap->isolated());
+
+  auto model = initial;
+  const auto fresh = datagen::uniform<2>(1000, 73);
+  for (std::size_t i = 0; i < 2000; ++i) {
+    if (i % 2 == 0) {
+      idx->batch_insert({fresh[i / 2]});
+      model.push_back(fresh[i / 2]);
+    } else {
+      // Erase from a different stretch of the set each time.
+      const std::size_t at = (i * 7919) % model.size();
+      idx->batch_erase({model[at]});
+      model[at] = model.back();
+      model.pop_back();
+    }
+    if (i % 16 == 15) rec.advance_and_reclaim();
+  }
+  rec.advance_and_reclaim();
+  const auto c = rec.counters();
+  EXPECT_GE(c.retired, 2000u);
+  EXPECT_EQ(c.limbo, 0u);
+
+  expect_matches_model(*snap, initial);
+  expect_matches_model(*idx, model);
 }
 
 TEST(SnapshotReads, ExecuteReadsRunsABatchAgainstASnapshot) {

@@ -9,7 +9,7 @@
 // on how the stream was cut into `batch_insert`/`batch_erase` calls), so
 // a replica that re-issues the same per-shard call sequence converges to
 // the same structure — and hence the same k-NN tie order — as the
-// primary, regardless of which drain mode produced the cuts.
+// primary.
 //
 //   *Groups and epochs*. `append()` assigns dense epochs (1, 2, ...)
 //   under the log mutex; the primary's drain thread is the only

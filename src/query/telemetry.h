@@ -410,8 +410,7 @@ class telemetry {
   std::uint64_t now_ns() const { return monotonic_ns() - epoch_ns_; }
 
   /// Records a service-wide stage duration (queue_wait, route, merge,
-  /// fulfil, completion — and execute_* under the single-drainer mode,
-  /// which has no lanes). Relaxed atomics; callable from any thread.
+  /// fulfil, completion, ...). Relaxed atomics; callable from any thread.
   void record(stage st, std::uint64_t ns) {
     service_->h[stage_index(st)].record(ns);
   }

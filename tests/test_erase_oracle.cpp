@@ -4,8 +4,8 @@
 // erase-heavy churn stream — plus deliberately nasty shapes: duplicate
 // points inside one batch, erases of points that were never inserted,
 // erase-then-reinsert of the same coordinate — runs through the sharded
-// service with pipelined concurrent drains on every backend and drain
-// mode, and every response plus the final resident set must match a
+// service with pipelined concurrent drains on every backend, and every
+// response plus the final resident set must match a
 // brute-force flat multiset executing the same stream one request at a
 // time — a reference that shares no code with any backend, so it checks
 // the kd-tree adapter as independently as the other two.
@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "query/query_service.h"
@@ -23,7 +22,6 @@
 
 using namespace pargeo;
 using query::backend;
-using query::drain_mode;
 using query::shard_policy;
 using testutil::expect_same_responses;
 
@@ -78,7 +76,7 @@ std::vector<query::response<2>> brute_force_responses(
 // Runs `reqs` through a sharded service (async pipelined submits, so write
 // groups drain concurrently across lanes) and through the brute-force
 // reference, then compares every response and the final resident multiset.
-void run_against_reference(backend b, drain_mode mode, shard_policy policy,
+void run_against_reference(backend b, shard_policy policy,
                            const std::vector<point<2>>& initial,
                            const std::vector<query::request<2>>& reqs) {
   auto expect = initial;
@@ -86,7 +84,6 @@ void run_against_reference(backend b, drain_mode mode, shard_policy policy,
 
   query::service_config cfg;
   cfg.backend = b;
-  cfg.drain = mode;
   cfg.shards = 4;
   cfg.policy = policy;
   query::query_service<2> service(cfg);
@@ -119,8 +116,7 @@ void run_against_reference(backend b, drain_mode mode, shard_policy policy,
   ASSERT_EQ(have, expect);
 }
 
-class EraseOracle
-    : public ::testing::TestWithParam<std::tuple<backend, drain_mode>> {};
+class EraseOracle : public ::testing::TestWithParam<backend> {};
 
 // Erase-heavy churn: departures outnumber arrivals, so the stream keeps
 // erasing points that recently existed (the FIFO-churn order TTL expiry
@@ -131,8 +127,7 @@ TEST_P(EraseOracle, EraseHeavyChurnMatchesReference) {
   spec.seed = 11;
   auto initial = query::make_initial<2>(spec);
   const auto reqs = query::make_requests<2>(spec, initial);
-  run_against_reference(std::get<0>(GetParam()), std::get<1>(GetParam()),
-                        shard_policy::hash, initial, reqs);
+  run_against_reference(GetParam(), shard_policy::hash, initial, reqs);
 }
 
 // Same stream under spatial striping: erases must route to the owner
@@ -143,8 +138,7 @@ TEST_P(EraseOracle, EraseHeavyChurnSpatialPolicy) {
   spec.seed = 13;
   auto initial = query::make_initial<2>(spec);
   const auto reqs = query::make_requests<2>(spec, initial);
-  run_against_reference(std::get<0>(GetParam()), std::get<1>(GetParam()),
-                        shard_policy::spatial, initial, reqs);
+  run_against_reference(GetParam(), shard_policy::spatial, initial, reqs);
 }
 
 // Duplicate coordinates inside one batch — inserted twice, erased once,
@@ -187,20 +181,14 @@ TEST_P(EraseOracle, DuplicateAndMissingPointEdgeCases) {
   }
   probe();
 
-  run_against_reference(std::get<0>(GetParam()), std::get<1>(GetParam()),
-                        shard_policy::hash, initial, reqs);
+  run_against_reference(GetParam(), shard_policy::hash, initial, reqs);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, EraseOracle,
-    ::testing::Combine(::testing::Values(backend::kdtree, backend::zdtree,
-                                         backend::bdltree),
-                       ::testing::Values(drain_mode::per_shard,
-                                         drain_mode::single,
-                                         drain_mode::stealing)),
+    ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
     [](const auto& info) {
-      return std::string(query::backend_name(std::get<0>(info.param))) + "_" +
-             query::drain_mode_name(std::get<1>(info.param));
+      return std::string(query::backend_name(info.param));
     });
 
 }  // namespace

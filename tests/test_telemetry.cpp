@@ -8,7 +8,7 @@
 //    for every ticket, the queue_wait span starts at submit and the
 //    completion span (submit -> fulfil) covers it.
 //  - Concurrent recorders under TSan: 4 producer threads against
-//    stealing lanes; no sample loss (stage counts equal the ticket
+//    4 shard lanes; no sample loss (stage counts equal the ticket
 //    count) and the folded legacy `execute_seconds` counters agree with
 //    the execute_write histograms to the nanosecond.
 #include <gtest/gtest.h>
@@ -231,7 +231,6 @@ TEST(TelemetryService, ConcurrentRecordersLoseNothing) {
   query::service_config cfg;
   cfg.backend = query::backend::kdtree;
   cfg.shards = 4;
-  cfg.drain = query::drain_mode::stealing;
   cfg.telemetry = query::telemetry_level::stats;
   cfg.max_retained = std::size_t{1} << 20;
   query::query_service<kDim> service(cfg);
@@ -257,7 +256,7 @@ TEST(TelemetryService, ConcurrentRecordersLoseNothing) {
 
   const auto svc = service.stats();
   const auto& rep = svc.telemetry;
-  // No sample loss across 4 producers x stealing lanes: every ticket
+  // No sample loss across 4 producers x 4 shard lanes: every ticket
   // passes queue_wait once and completes once.
   EXPECT_EQ(rep.stage_hist(stage::queue_wait).summary().count, total);
   EXPECT_EQ(rep.stage_hist(stage::completion).summary().count, total);

@@ -17,9 +17,7 @@
 // lock-free ingest ring, with spin and reclaimer counters.
 // Part 4 (`parallel_drain`) runs the per-shard drain pipelines on the
 // 50%-write sweep at 2 and 4 shards: one producer streams asynchronously
-// (no mid-stream waits), so groups can pipeline across shard lanes; the
-// row also carries the routing-scratch recycling counters (reuses
-// dominating allocs == the per-drain allocation churn is gone).
+// (no mid-stream waits), so groups can pipeline across shard lanes.
 // Part 5 (`cache_zipf`) measures the hot k-NN result cache on zipf 90%-read
 // traffic (hot-key serving: most payloads re-probe a few keys), cache off
 // vs on, with hit/miss/evict counters and the hit rate.
@@ -825,7 +823,7 @@ int main(int argc, char** argv) {
   if (!json) {
     bench::print_header(
         "parallel drain: per-shard lanes (50% reads, async producer)",
-        "backend            shards            ops/s  scratch reuse/alloc");
+        "backend            shards            ops/s   drains");
   }
   auto drain_spec = make_spec(initial_n, num_ops, 0.50);
   drain_spec.batch_size = 512;  // enough groups to pipeline across lanes
@@ -839,15 +837,13 @@ int main(int argc, char** argv) {
             "{\"section\":\"parallel_drain\",\"backend\":\"%s\","
             "\"shards\":%zu,\"read_frac\":0.50,"
             "\"initial_n\":%zu,\"num_ops\":%zu,\"ops_per_sec\":%.0f,"
-            "\"drains\":%zu,\"scratch_reuses\":%zu,"
-            "\"scratch_allocs\":%zu%s}\n",
+            "\"drains\":%zu%s}\n",
             query::backend_name(b), shards, initial_n, num_ops,
-            row.ops_per_sec, row.stats.num_drains, row.stats.scratch_reuses,
-            row.stats.scratch_allocs, completion_fields(row.stats).c_str());
+            row.ops_per_sec, row.stats.num_drains,
+            completion_fields(row.stats).c_str());
       } else {
-        std::printf("%-18s %6zu %16.0f  %8zu/%zu\n", query::backend_name(b),
-                    shards, row.ops_per_sec, row.stats.scratch_reuses,
-                    row.stats.scratch_allocs);
+        std::printf("%-18s %6zu %16.0f %8zu\n", query::backend_name(b),
+                    shards, row.ops_per_sec, row.stats.num_drains);
       }
     }
   }

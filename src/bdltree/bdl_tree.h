@@ -5,10 +5,11 @@
 // Batch insertion follows the bitmask cascade of Figure 7 / Algorithm 3:
 // F_new = F + floor(|P|/X); trees set in F but not F_new are destroyed and
 // their points, together with the batch, build the trees set in F_new but
-// not F. Batch deletion (Algorithm 4) erases from every tree and rebuilds
-// any tree that drops below half of its build size by reinserting its
-// points. k-NN queries share one k-NN buffer per query point across all
-// trees and the buffer (Appendix C.4).
+// not F. Batch deletion (Algorithm 4) erases from the buffer and the
+// trees — each batch entry deleting exactly one stored copy, see erase() —
+// and rebuilds any tree that drops below half of its build size by
+// reinserting its points. k-NN queries share one k-NN buffer per query
+// point across all trees and the buffer (Appendix C.4).
 //
 // *Snapshots (chunk-level COW).* The forest's unit of immutability is the
 // static vEB tree: insertion never mutates an existing tree (the cascade
@@ -28,6 +29,7 @@
 // Without a hook the shared_ptr refcount frees them as usual.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -249,44 +251,49 @@ class bdl_tree {
         1);
   }
 
-  /// Batch deletion (paper Algorithm 4). Points not present are ignored.
-  /// A tree shared with a snapshot is copied before the erase touches it
-  /// (chunk-level COW); an exclusively-owned tree erases in place.
+  /// Batch deletion (paper Algorithm 4). Each batch entry deletes exactly
+  /// one stored copy when one exists (an entry repeated m times deletes up
+  /// to m copies); entries matching nothing are ignored. The paper erases
+  /// the whole batch from every tree, which deletes a point stored in two
+  /// places twice; here the buffer is consumed first, then the trees
+  /// largest first, each seeing only the entries still unmatched. The
+  /// order is fixed, so the same call sequence always deletes the same
+  /// copies (replicas replaying it stay byte-identical). A tree shared
+  /// with a snapshot is copied before the erase touches it (chunk-level
+  /// COW); an exclusively-owned tree erases in place.
   void erase(const std::vector<point<D>>& batch) {
     if (batch.empty()) return;
-    // Erase from the buffer.
+    std::vector<point<D>> rest;
     for (const auto& q : batch) {
-      for (std::size_t i = 0; i < buffer_.size(); ++i) {
-        if (buffer_[i] == q) {
-          buffer_[i] = buffer_.back();
-          buffer_.pop_back();
-          break;
-        }
+      const auto it = std::find(buffer_.begin(), buffer_.end(), q);
+      if (it == buffer_.end()) {
+        rest.push_back(q);
+        continue;
       }
+      *it = buffer_.back();
+      buffer_.pop_back();
     }
-    // Erase from every non-empty tree in parallel.
     std::vector<int> occupied;
     for (int i = 0; i < static_cast<int>(trees_.size()); ++i) {
       if (trees_[i] && !trees_[i]->empty()) occupied.push_back(i);
     }
-    par::parallel_for(
-        0, occupied.size(),
-        [&](std::size_t i) {
-          auto& slot = trees_[occupied[i]];
-          // use_count == 1: only the live forest holds this tree — no
-          // snapshot can appear mid-erase (view() and writes are
-          // serialized by the caller), so mutate in place.
-          if (slot.use_count() == 1) {
-            slot->erase(batch);
-            return;
-          }
-          auto copy = std::make_shared<veb_tree<D>>(*slot);
-          if (copy->erase(batch) == 0) return;  // untouched: keep original
-          auto old = std::move(slot);
-          slot = std::move(copy);
-          retire_tree(std::move(old));
-        },
-        1);
+    std::vector<point<D>> unmatched;
+    for (auto it = occupied.rbegin(); it != occupied.rend() && !rest.empty();
+         ++it) {
+      auto& slot = trees_[*it];
+      unmatched.clear();
+      // use_count == 1: only the live forest holds this tree — no
+      // snapshot can appear mid-erase (view() and writes are serialized
+      // by the caller), so mutate in place.
+      if (slot.use_count() == 1) {
+        if (slot->erase(rest, &unmatched) == 0) continue;
+      } else {
+        auto copy = std::make_shared<veb_tree<D>>(*slot);
+        if (copy->erase(rest, &unmatched) == 0) continue;  // keep original
+        retire_tree(std::exchange(slot, std::move(copy)));
+      }
+      rest.swap(unmatched);
+    }
     // Gather trees that fell below half their build capacity; reinsert.
     std::vector<point<D>> reinsert;
     for (const int i : occupied) {

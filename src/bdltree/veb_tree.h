@@ -68,13 +68,23 @@ class veb_tree {
     return out;
   }
 
-  /// Tombstones every stored point equal to a member of `batch` (each
-  /// batch entry deletes at most one copy). Returns #deleted.
-  std::size_t erase(const std::vector<point<D>>& batch) {
-    if (points_.empty() || batch.empty()) return 0;
-    std::vector<point<D>> q(batch);
-    const std::size_t removed = erase_rec(0, levels_, q, 0, q.size());
-    live_ -= removed;
+  /// Tombstones one stored copy per entry of `batch` (an entry repeated m
+  /// times deletes up to m copies). Entries that match no live copy are
+  /// appended to `unmatched` when given. Returns #deleted.
+  std::size_t erase(const std::vector<point<D>>& batch,
+                    std::vector<point<D>>* unmatched = nullptr) {
+    if (batch.empty()) return 0;
+    std::vector<point<D>> left;
+    std::size_t removed = 0;
+    if (points_.empty()) {
+      left = batch;
+    } else {
+      removed = erase_rec(0, batch, left);
+      live_ -= removed;
+    }
+    if (unmatched) {
+      unmatched->insert(unmatched->end(), left.begin(), left.end());
+    }
     return removed;
   }
 
@@ -358,21 +368,27 @@ class veb_tree {
   }
 
   // Batch erase per paper Algorithm 2: partition the query set around the
-  // split and recurse; leaves do linear matching. Returns #deleted.
-  std::size_t erase_rec(std::size_t idx, int l, std::vector<point<D>>& q,
-                        std::size_t qlo, std::size_t qhi) {
-    if (qlo >= qhi) return 0;
+  // split and recurse; leaves do linear matching. Each entry of q deletes
+  // at most one live copy; entries that delete nothing are appended to
+  // `left`. Returns #deleted.
+  std::size_t erase_rec(std::size_t idx, const std::vector<point<D>>& q,
+                        std::vector<point<D>>& left) {
+    if (q.empty()) return 0;
     node& nd = nodes_[idx];
-    if (nd.live == 0) return 0;
+    if (nd.live == 0) {
+      left.insert(left.end(), q.begin(), q.end());
+      return 0;
+    }
     if (nd.split_dim < 0) {
       std::size_t removed = 0;
-      for (std::size_t t = qlo; t < qhi; ++t) {
-        for (std::size_t i = nd.lo; i < nd.hi; ++i) {
-          if (alive_[i] && points_[i] == q[t]) {
-            alive_[i] = 0;
-            ++removed;
-            break;
-          }
+      for (const auto& p : q) {
+        std::size_t i = nd.lo;
+        while (i < nd.hi && !(alive_[i] && points_[i] == p)) ++i;
+        if (i < nd.hi) {
+          alive_[i] = 0;
+          ++removed;
+        } else {
+          left.push_back(p);
         }
       }
       nd.live -= removed;
@@ -380,36 +396,51 @@ class veb_tree {
     }
     const int dim = nd.split_dim;
     const double sv = nd.split_val;
-    // Median partitions may place split-value duplicates on either side,
-    // so queries equal to the split descend both ways. (With duplicate
-    // stored points this can remove more than one copy per query; see the
-    // class comment.)
+    // Median partitions may store split-value duplicates on either side,
+    // so an entry equal to the split tries the left child first and, if
+    // it deleted nothing there, the right child — never both.
     std::vector<point<D>> ql, qr;
-    ql.reserve(qhi - qlo);
-    qr.reserve(qhi - qlo);
-    for (std::size_t t = qlo; t < qhi; ++t) {
-      if (q[t][dim] < sv) {
-        ql.push_back(q[t]);
-      } else if (q[t][dim] > sv) {
-        qr.push_back(q[t]);
+    bool any_equal = false;
+    for (const auto& p : q) {
+      if (p[dim] < sv) {
+        ql.push_back(p);
+      } else if (p[dim] > sv) {
+        qr.push_back(p);
       } else {
-        ql.push_back(q[t]);
-        qr.push_back(q[t]);
+        ql.push_back(p);
+        any_equal = true;
       }
     }
-    auto [li, ll] = left_child(idx);
-    auto [ri, rl] = right_child(idx);
-    const bool spawn = (qhi - qlo) > 4096;
-    std::size_t remL = 0, remR = 0;
-    auto doL = [&] { remL = erase_rec(li, ll, ql, 0, ql.size()); };
-    auto doR = [&] { remR = erase_rec(ri, rl, qr, 0, qr.size()); };
-    if (spawn) {
-      par::par_do(doL, doR);
+    const std::size_t li = left_child(idx).first;
+    const std::size_t ri = right_child(idx).first;
+    std::size_t removed = 0;
+    if (any_equal) {
+      std::vector<point<D>> left_l;
+      removed = erase_rec(li, ql, left_l);
+      for (const auto& p : left_l) {
+        if (p[dim] == sv) {
+          qr.push_back(p);
+        } else {
+          left.push_back(p);
+        }
+      }
+      removed += erase_rec(ri, qr, left);
     } else {
-      doL();
-      doR();
+      // Disjoint entry sets: the children may run in parallel.
+      std::vector<point<D>> left_l, left_r;
+      std::size_t rem_l = 0, rem_r = 0;
+      auto do_l = [&] { rem_l = erase_rec(li, ql, left_l); };
+      auto do_r = [&] { rem_r = erase_rec(ri, qr, left_r); };
+      if (q.size() > 4096) {
+        par::par_do(do_l, do_r);
+      } else {
+        do_l();
+        do_r();
+      }
+      removed = rem_l + rem_r;
+      left.insert(left.end(), left_l.begin(), left_l.end());
+      left.insert(left.end(), left_r.begin(), left_r.end());
     }
-    const std::size_t removed = remL + remR;
     nd.live -= removed;
     return removed;
   }

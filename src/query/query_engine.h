@@ -261,28 +261,8 @@ class query_engine {
                                                            begin, end,
                                                            result.responses);
                         } else {
-                          execute_write_phase(batch, begin, end);
+                          apply_write_phase(batch, begin, end);
                         }
-                      });
-    return result;
-  }
-
-  /// Executes a read-only batch against an epoch snapshot instead of the
-  /// live index. Touches no engine state (it is static on purpose), so the
-  /// query_service's snapshot-read executors can run it concurrently with
-  /// a write drain on the live index. Throws if the batch contains writes.
-  static batch_result<D> execute_reads(const std::vector<request<D>>& batch,
-                                       const index_snapshot<D>& snap) {
-    batch_result<D> result;
-    execute_phases<D>(batch, result.responses, result.stats,
-                      [&](std::size_t begin, std::size_t end, bool read) {
-                        if (!read) {
-                          throw std::logic_error(
-                              "execute_reads() requires a read-only batch");
-                        }
-                        detail::execute_read_phase_on<D>(snap, batch, begin,
-                                                         end,
-                                                         result.responses);
                       });
     return result;
   }
@@ -306,13 +286,6 @@ class query_engine {
   }
 
  private:
-  // A write phase is one batched update: all payload points of the run go
-  // through the backend's batch entry point at once.
-  void execute_write_phase(const std::vector<request<D>>& batch,
-                           std::size_t begin, std::size_t end) {
-    apply_write_phase(batch, begin, end);
-  }
-
   std::unique_ptr<spatial_index<D>> index_;
 };
 

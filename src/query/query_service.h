@@ -3,8 +3,8 @@
 //
 // A `query_service<D>` owns N `query_engine<D>` shards behind one logical
 // index, built from a `service_config` (backend, shard count, shard policy,
-// ingest-batch window, read concurrency, backpressure bound, cache
-// capacity, retention cap):
+// ingest-batch window, backpressure bound, cache capacity, retention
+// cap):
 //
 //   *Sharding*. Every stored point is owned by exactly one shard —
 //   `shard_policy::hash` routes by a hash of the coordinates,
@@ -55,16 +55,17 @@
 //   the old bounds and later groups route under the new ones, so write
 //   routing and read pruning never disagree.
 //
-//   *Epoch-snapshot reads*. A group of read-only tickets does not execute
-//   on the drain pipeline: it is routed once, then each involved lane
-//   stamps its shard's epoch snapshot (`spatial_index::snapshot()`) after
-//   the shard's earlier writes — per-shard FIFO again — and the fully
-//   stamped group executes on a snapshot-read executor pool
-//   (`read_threads`). Every backend's snapshots are isolated (kdtree:
+//   *Epoch-snapshot reads*. Read-only ticket groups and watch
+//   re-evaluations share one path that never executes on the lanes: the
+//   drain thread routes the group once, each involved lane stamps its
+//   shard's epoch snapshot (`spatial_index::snapshot()`) after the shard's
+//   earlier writes — per-shard FIFO again — and the fully stamped group
+//   executes on one of two snapshot-reader threads, which gather-merge
+//   the rows and hand them to the group's finisher: ticket fulfilment, or
+//   watch delivery. Every backend's snapshots are isolated (kdtree:
 //   shared tree + copied write buffers; zdtree: chunk-level COW Morton
 //   array; bdltree: chunk-level COW forest view), so those reads run
-//   fully concurrently with the next write drains on every shard — the
-//   per-shard write gate that used to pin bdltree snapshots is gone.
+//   fully concurrently with the next write drains on every shard.
 //   Reader threads hold an epoch-reclaimer guard (query/epoch_reclaim.h)
 //   while executing; structure versions superseded by writes are retired
 //   onto a limbo list and destroyed at drain-boundary reclaim points once
@@ -209,10 +210,6 @@ struct service_config {
   /// Max requests grouped into one drain (a single over-sized batch still
   /// drains alone).
   std::size_t ingest_window = std::size_t{1} << 16;
-  /// Snapshot-read executors. Read-only ticket groups execute on this pool
-  /// against epoch snapshots, concurrently with the drain pipeline's write
-  /// groups. 0 serializes reads behind the write drain (no extra threads).
-  std::size_t read_threads = 2;
   /// Backpressure: max admitted-but-unfulfilled requests across the whole
   /// pipeline. 0 = unbounded. Past the bound submit() blocks and
   /// try_submit() rejects; a batch larger than the bound is admitted alone
@@ -231,13 +228,11 @@ struct service_config {
   /// owners as an internal write group (epochs bump on every affected
   /// shard, so cached k-NN rows and pinned snapshots invalidate through
   /// the normal channels). <= 1 disables (the PR 4 behavior: stripes are
-  /// fixed once set). Meaningful values start around 1.2-2.0.
+  /// fixed once set). Meaningful values start around 1.2-2.0. Imbalance
+  /// below 256 total resident points is ignored (tiny sets would
+  /// re-stripe constantly for no win), and the bounds are re-derived from
+  /// a sample of at most 4096 points.
   double rebalance_threshold = 0;
-  /// Ignore imbalance below this many total resident points (tiny sets
-  /// would re-stripe constantly for no win).
-  std::size_t rebalance_min_points = 256;
-  /// Sample size for re-deriving the quantile stripe bounds.
-  std::size_t rebalance_sample = 4096;
   /// Sliding-window TTL for stored points, in nanoseconds: every
   /// bootstrapped or inserted point is retired by an internal
   /// batch_erase group once its TTL elapses. Sweeps run after every
@@ -269,12 +264,10 @@ struct service_config {
   /// directory with query_service::recover().
   std::string log_dir;
   /// fsync cadence for the durable log: `none` flushes to the page
-  /// cache only (survives process death), `interval` fsyncs every
-  /// `sync_interval_groups` appends, `every_commit` fsyncs each append
-  /// (survives power loss, at a per-commit cost the durability bench
-  /// quantifies).
+  /// cache only (survives process death), `interval` fsyncs every 32
+  /// appends, `every_commit` fsyncs each append (survives power loss, at
+  /// a per-commit cost the durability bench quantifies).
   sync_policy sync = sync_policy::interval;
-  std::uint32_t sync_interval_groups = 32;
   /// Checkpoint + compact every N committed write groups (0 disables):
   /// the drain thread quiesces the lanes, serializes per-shard resident
   /// state into log_dir, and truncates the log below the checkpoint
@@ -342,10 +335,6 @@ struct service_stats {
   std::size_t pending_requests = 0;
   std::size_t submit_waits = 0;        // submit() calls that had to block
   std::size_t try_submit_rejects = 0;  // try_submit() nullopt returns
-  /// Routing scratch recycling: sub-batch buffers reused from the pool vs
-  /// freshly allocated (reuse dominating == allocation churn is gone).
-  std::size_t scratch_reuses = 0;
-  std::size_t scratch_allocs = 0;
   /// Online stripe rebalancing (spatial policy): bound re-derivations
   /// performed, and points migrated between shards by them.
   std::size_t rebalances = 0;
@@ -840,8 +829,7 @@ class query_service {
       // for incremental appends before any thread can commit a group.
       detail_ck::ensure_dir(cfg_.log_dir);
       log_ = std::make_shared<op_log<D>>();
-      log_->open_durable(cfg_.log_dir + "/oplog.pgol", cfg_.sync,
-                         cfg_.sync_interval_groups);
+      log_->open_durable(cfg_.log_dir + "/oplog.pgol", cfg_.sync);
     }
     ring_ = std::make_unique<mpsc_ring<pending_entry>>(
         cfg_.ingest_ring_capacity);
@@ -850,8 +838,8 @@ class query_service {
       for (std::size_t s = 0; s < cfg_.shards; ++s) {
         lanes_[s]->worker = std::thread([this, s] { shard_loop(s); });
       }
-      readers_.reserve(cfg_.read_threads);
-      for (std::size_t i = 0; i < cfg_.read_threads; ++i) {
+      readers_.reserve(kReaderThreads);
+      for (std::size_t i = 0; i < kReaderThreads; ++i) {
         readers_.emplace_back([this] { read_loop(); });
       }
     } catch (...) {
@@ -1098,11 +1086,6 @@ class query_service {
       s.watch_fires = ws.fires;
       s.watch_suppressed = ws.suppressed;
     }
-    {
-      std::lock_guard<std::mutex> lk(scratch_mu_);
-      s.scratch_reuses = scratch_reuses_;
-      s.scratch_allocs = scratch_allocs_;
-    }
     s.watch_cache_hits = watch_cache_hits_.load(std::memory_order_relaxed);
     s.applied_epoch = applied_epoch_.load(std::memory_order_acquire);
     if (log_) {
@@ -1269,7 +1252,6 @@ class query_service {
   static std::unique_ptr<query_service> recover(const std::string& dir,
                                                 service_config cfg) {
     const sync_policy sync = cfg.sync;
-    const std::uint32_t sync_interval = cfg.sync_interval_groups;
     cfg.log_dir.clear();  // rebuild first; durable appends re-attach below
     auto svc = std::make_unique<query_service>(std::move(cfg));
 
@@ -1307,16 +1289,24 @@ class query_service {
     // and the file is atomically rewritten (dropping any torn tail on
     // disk), ready for incremental appends. The service is externally
     // quiescent here — same contract as attach_log before traffic.
-    log->open_durable(dir + "/oplog.pgol", sync, sync_interval);
+    log->open_durable(dir + "/oplog.pgol", sync);
     svc->log_ = std::move(log);
     svc->cfg_.log_dir = dir;
     svc->cfg_.sync = sync;
-    svc->cfg_.sync_interval_groups = sync_interval;
     svc->ctr_.recovered_epochs.store(target, std::memory_order_relaxed);
     return svc;
   }
 
  private:
+  /// Snapshot-read executor threads: read groups execute on these against
+  /// epoch snapshots, concurrently with the lanes' write drains.
+  static constexpr std::size_t kReaderThreads = 2;
+  /// Stripe rebalancing (service_config::rebalance_threshold): imbalance
+  /// below kRebalanceMinPoints total resident points is ignored, and the
+  /// bounds are re-derived from a sample of at most kRebalanceSample.
+  static constexpr std::size_t kRebalanceMinPoints = 256;
+  static constexpr std::size_t kRebalanceSample = 4096;
+
   struct pending_entry {
     std::uint64_t id;
     std::vector<request<D>> batch;
@@ -1356,28 +1346,32 @@ class query_service {
     std::exception_ptr error;  // first lane failure wins
   };
 
-  /// A read-only drain group: routed by the drain thread, epoch-stamped by
-  /// each involved lane (after that shard's earlier writes), executed by a
-  /// snapshot-read executor.
+  /// What executing a read group produced, handed to its finisher.
+  struct read_rows {
+    std::vector<response<D>> responses;  // parallel to combined; empty on error
+    std::exception_ptr error;            // stamping or execution failure
+    std::size_t cache_hits = 0;          // rows the result caches served
+    std::uint64_t snap_epoch = 0;        // largest shard epoch observed
+    bool lagged = false;  // a live shard epoch moved past its snapshot
+    double seconds = 0;   // execution wall-clock
+  };
+
+  /// A snapshot-read group — read-only tickets, or one drain boundary's
+  /// watch re-evaluations: routed by the drain thread, epoch-stamped by
+  /// each involved lane (after that shard's earlier writes), executed by
+  /// a snapshot reader, and closed by `finish`.
   struct read_group {
-    std::vector<pending_entry> tickets;
-    std::vector<request<D>> combined;               // group batches, FIFO
+    std::vector<request<D>> combined;               // the group's reads, FIFO
     std::vector<std::vector<request<D>>> sub;       // per-shard requests
     std::vector<std::vector<std::size_t>> sub_idx;  // -> combined index
     std::vector<std::shared_ptr<const index_snapshot<D>>> snaps;
     std::atomic<std::size_t> stamps_remaining{0};
-    std::size_t total = 0;
     std::uint64_t trace_ticket = 0;  // as in shard_group
-    /// Continuous-query evaluation groups ride the read_group machinery
-    /// (watch_seq != 0): no tickets, one combined request per affected
-    /// watch (watch_ids is parallel to combined), results canonicalized
-    /// and handed to the watch registry instead of a hub record.
-    /// watch_start_ns is the commit boundary — the fire-latency base.
-    std::uint64_t watch_seq = 0;
-    std::uint64_t watch_start_ns = 0;
-    std::vector<std::uint64_t> watch_ids;
     std::mutex err_mu;
     std::exception_ptr error;  // first stamping failure wins
+    /// Ticket fulfilment or watch delivery. Runs on the reader once the
+    /// epoch guard is released and the snapshots are dropped.
+    std::function<void(const read_group&, read_rows&&)> finish;
   };
 
   /// A replayed log group in flight on the shard lanes (replica side):
@@ -1390,16 +1384,13 @@ class query_service {
     std::atomic<std::size_t> remaining{0};
   };
 
-  /// One unit of lane work: execute a sub-batch of a shard_group, stamp
+  /// One unit of lane work — execute a sub-batch of a shard_group, stamp
   /// this shard's snapshot for a read_group, or re-issue this shard's
-  /// records of a replayed log group.
+  /// records of a replayed log group — as one callable.
   struct shard_task {
-    std::shared_ptr<shard_group> exec;      // set for execute tasks
-    std::shared_ptr<read_group> stamp;      // set for stamp tasks
-    std::shared_ptr<replay_group> replay;   // set for replay tasks
-    std::vector<request<D>> sub;            // execute: this lane's requests
-    std::vector<std::size_t> replay_idx;    // replay: record indices, in order
-    std::uint64_t enqueue_ns = 0;           // lane_wait stamp (telemetry on)
+    std::function<void()> run;
+    std::uint64_t trace_ticket = 0;  // owner of the lane_wait span (0: none)
+    std::uint64_t enqueue_ns = 0;    // lane_wait stamp (telemetry on)
   };
 
   /// Per-shard executor lane: FIFO task queue + the one worker thread that
@@ -1426,52 +1417,17 @@ class query_service {
     return true;
   }
 
-  // ---- scratch recycling --------------------------------------------------
-
-  // Routing buffers (per-shard request/index vectors, combined streams)
-  // cycle through a small pool instead of being reallocated every group:
-  // the drain thread takes them, the lane/reader that consumed them gives
-  // them back with capacity intact.
-  std::vector<request<D>> take_req_vec() {
-    std::lock_guard<std::mutex> lk(scratch_mu_);
-    if (!spare_req_.empty()) {
-      auto v = std::move(spare_req_.back());
-      spare_req_.pop_back();
-      ++scratch_reuses_;
-      return v;
+  // A group's batches concatenated in ticket (FIFO) order.
+  static std::vector<request<D>> concat_batches(
+      const std::vector<pending_entry>& tickets) {
+    std::size_t n = 0;
+    for (const auto& e : tickets) n += e.batch.size();
+    std::vector<request<D>> out;
+    out.reserve(n);
+    for (const auto& e : tickets) {
+      out.insert(out.end(), e.batch.begin(), e.batch.end());
     }
-    ++scratch_allocs_;
-    return {};
-  }
-  void give_req_vec(std::vector<request<D>>&& v) {
-    v.clear();
-    std::lock_guard<std::mutex> lk(scratch_mu_);
-    if (spare_req_.size() < scratch_pool_cap()) {
-      spare_req_.push_back(std::move(v));
-    }
-  }
-  std::vector<std::size_t> take_idx_vec() {
-    std::lock_guard<std::mutex> lk(scratch_mu_);
-    if (!spare_idx_.empty()) {
-      auto v = std::move(spare_idx_.back());
-      spare_idx_.pop_back();
-      ++scratch_reuses_;
-      return v;
-    }
-    ++scratch_allocs_;
-    return {};
-  }
-  void give_idx_vec(std::vector<std::size_t>&& v) {
-    v.clear();
-    std::lock_guard<std::mutex> lk(scratch_mu_);
-    if (spare_idx_.size() < scratch_pool_cap()) {
-      spare_idx_.push_back(std::move(v));
-    }
-  }
-  std::size_t scratch_pool_cap() const {
-    // Enough for the groups that can be in flight at once (one routing +
-    // one per lane + the read queue) without hoarding memory.
-    return 4 * cfg_.shards + 8;
+    return out;
   }
 
   // ---- drain pipeline -----------------------------------------------------
@@ -1551,8 +1507,7 @@ class query_service {
       pending_.pop_front();
     }
     if (pending_.empty()) return f;
-    f.read_kind =
-        cfg_.read_threads > 0 && batch_is_read_only(pending_.front().batch);
+    f.read_kind = batch_is_read_only(pending_.front().batch);
     f.group.push_back(std::move(pending_.front()));
     pending_.pop_front();
     f.total = f.group.front().batch.size();
@@ -1564,10 +1519,7 @@ class query_service {
         continue;
       }
       if (f.total + next.batch.size() > cfg_.ingest_window) break;
-      if (cfg_.read_threads > 0 &&
-          batch_is_read_only(next.batch) != f.read_kind) {
-        break;
-      }
+      if (batch_is_read_only(next.batch) != f.read_kind) break;
       f.total += next.batch.size();
       f.group.push_back(std::move(pending_.front()));
       pending_.pop_front();
@@ -1642,15 +1594,11 @@ class query_service {
                             std::size_t total) {
     const std::uint64_t route_start = tel_.enabled() ? tel_.now_ns() : 0;
     auto g = std::make_shared<shard_group>();
+    g->combined = concat_batches(tickets);
     g->tickets = std::move(tickets);
     g->total = total;
     g->trace_ticket = pick_trace_ticket(g->tickets);
     g->exec_start_ns = route_start;  // re-stamped before the lane fan-out
-    g->combined = take_req_vec();
-    g->combined.reserve(total);
-    for (const auto& e : g->tickets) {
-      g->combined.insert(g->combined.end(), e.batch.begin(), e.batch.end());
-    }
     const bool had_bounds = bounds_set_;
     if (cfg_.policy == shard_policy::spatial && !bounds_set_) {
       derive_bounds_from_writes(g->combined);
@@ -1660,10 +1608,6 @@ class query_service {
     g->sub_idx.resize(cfg_.shards);
     g->shard_res.resize(cfg_.shards);
     std::vector<std::vector<request<D>>> sub(cfg_.shards);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      sub[s] = take_req_vec();
-      g->sub_idx[s] = take_idx_vec();
-    }
     for (std::size_t i = 0; i < g->combined.size(); ++i) {
       const auto& r = g->combined[i];
       if (is_read(r.kind)) {
@@ -1679,15 +1623,7 @@ class query_service {
         note_routed_write(s, r);
       }
     }
-
-    if (tel_.enabled()) {
-      const std::uint64_t route_end = tel_.now_ns();
-      tel_.record(stage::route, route_end - route_start);
-      if (g->trace_ticket) {
-        tel_.add_span("route", tel_.drain_track(), route_start,
-                      route_end - route_start, g->trace_ticket);
-      }
-    }
+    record_route(route_start, g->trace_ticket);
 
     if (log_) {
       // Log the run structure each lane will actually execute: phase-cut
@@ -1701,7 +1637,6 @@ class query_service {
       // fails fast. For writes this service now behaves like a dead
       // process; reads keep serving what was committed.
       if (log_failed_) {
-        for (auto& v : sub) give_req_vec(std::move(v));
         g->error = std::make_exception_ptr(std::runtime_error(
             "query_service: durable log failed — writes cannot commit"));
         finalize_shard_group(g);
@@ -1717,7 +1652,6 @@ class query_service {
             !had_bounds && bounds_set_);
       } catch (...) {
         note_log_failure();
-        for (auto& v : sub) give_req_vec(std::move(v));
         g->error = std::current_exception();
         finalize_shard_group(g);
         return;
@@ -1729,21 +1663,29 @@ class query_service {
       if (!sub[s].empty()) ++active;
     }
     if (active == 0) {  // every ticket in the group had an empty batch
-      for (auto& v : sub) give_req_vec(std::move(v));
       finalize_shard_group(g);
       return;
     }
     g->remaining.store(active, std::memory_order_relaxed);
     g->exec_start_ns = tel_.now_ns();
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (sub[s].empty()) {
-        give_req_vec(std::move(sub[s]));
-        continue;
-      }
-      shard_task task;
-      task.exec = g;
-      task.sub = std::move(sub[s]);
-      enqueue_lane_task(s, std::move(task));
+      if (sub[s].empty()) continue;
+      enqueue_lane_task(s, {[this, s, g, batch = std::move(sub[s])] {
+                              run_lane_subbatch(s, g, batch);
+                            },
+                            g->trace_ticket});
+    }
+  }
+
+  // Telemetry for one routing pass on the drain thread: the route stage,
+  // plus a span when the group is traced.
+  void record_route(std::uint64_t route_start, std::uint64_t trace_ticket) {
+    if (!tel_.enabled()) return;
+    const std::uint64_t route_ns = tel_.now_ns() - route_start;
+    tel_.record(stage::route, route_ns);
+    if (trace_ticket) {
+      tel_.add_span("route", tel_.drain_track(), route_start, route_ns,
+                    trace_ticket);
     }
   }
 
@@ -1783,21 +1725,13 @@ class query_service {
     if (tel_.enabled() && task.enqueue_ns != 0) {
       const std::uint64_t wait_ns = tel_.now_ns() - task.enqueue_ns;
       tel_.record_shard(s, stage::lane_wait, wait_ns);
-      const std::uint64_t tt = task.exec    ? task.exec->trace_ticket
-                               : task.stamp ? task.stamp->trace_ticket
-                                            : 0;
-      if (tt) {
+      if (task.trace_ticket) {
         tel_.add_span("lane_wait", tel_.lane_track(s), task.enqueue_ns,
-                      wait_ns, tt, static_cast<std::int32_t>(s));
+                      wait_ns, task.trace_ticket,
+                      static_cast<std::int32_t>(s));
       }
     }
-    if (task.exec) {
-      run_lane_subbatch(s, std::move(task));
-    } else if (task.stamp) {
-      run_lane_stamp(s, std::move(task));
-    } else {
-      run_lane_replay(s, std::move(task));
-    }
+    task.run();
     auto& lane = *lanes_[s];
     {
       std::lock_guard<std::mutex> lk(lane.mu);
@@ -1810,14 +1744,14 @@ class query_service {
   // counters, and — if this lane finishes the group — merges and fulfils
   // it. Writes never wait on readers: every backend's snapshots are
   // isolated, and superseded structure goes through the epoch reclaimer.
-  void run_lane_subbatch(std::size_t s, shard_task task) {
-    auto g = std::move(task.exec);
+  void run_lane_subbatch(std::size_t s, const std::shared_ptr<shard_group>& g,
+                         const std::vector<request<D>>& sub) {
     // One ns delta feeds both the execute_write histogram and the legacy
     // execute_seconds counter — they cannot disagree.
     const std::uint64_t t0 = tel_.now_ns();
     batch_result<D> res;
     try {
-      res = execute_shard_batch(s, task.sub);
+      res = execute_shard_batch(s, sub);
     } catch (...) {
       std::lock_guard<std::mutex> lk(g->err_mu);
       if (!g->error) g->error = std::current_exception();
@@ -1835,25 +1769,26 @@ class query_service {
       auto& lane = *lanes_[s];
       std::lock_guard<std::mutex> lk(lane.mu);
       ++lane.stats.num_drains;
-      lane.stats.num_requests += task.sub.size();
+      lane.stats.num_requests += sub.size();
       lane.stats.execute_seconds += secs;
     }
     g->shard_res[s] = std::move(res);
-    give_req_vec(std::move(task.sub));
     if (g->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       finalize_shard_group(g);
     }
   }
 
   // Stamps this shard's epoch snapshot for a read group; the lane that
-  // stamps last hands the group to the snapshot readers. A failed
+  // stamps last queues the group for the snapshot readers. A failed
   // snapshot (allocation) fails the group instead of unwinding the lane
   // thread.
-  void run_lane_stamp(std::size_t s, shard_task task) {
-    auto g = std::move(task.stamp);
+  void run_lane_stamp(std::size_t s, const std::shared_ptr<read_group>& g) {
     const std::uint64_t t0 = g->trace_ticket ? tel_.now_ns() : 0;
     try {
-      stamp_shard_snapshot(*g, s);
+      g->snaps[s] = engines_[s]->index().snapshot();
+      // Every backend's snapshot is isolated; the epoch reclaimer, not a
+      // pin count, covers the structure versions it references.
+      assert(g->snaps[s]->isolated());
     } catch (...) {
       std::lock_guard<std::mutex> lk(g->err_mu);
       if (!g->error) g->error = std::current_exception();
@@ -1863,7 +1798,11 @@ class query_service {
                     g->trace_ticket, static_cast<std::int32_t>(s));
     }
     if (g->stamps_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      hand_off_read_group(std::move(g));
+      {
+        std::lock_guard<std::mutex> lk(read_mu_);
+        read_q_.push_back(g);
+      }
+      read_cv_.notify_one();
     }
   }
 
@@ -2052,10 +1991,9 @@ class query_service {
     rg->remaining.store(active, std::memory_order_relaxed);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
       if (per[s].empty()) continue;
-      shard_task task;
-      task.replay = rg;
-      task.replay_idx = std::move(per[s]);
-      enqueue_lane_task(s, std::move(task));
+      enqueue_lane_task(s, {[this, s, rg, idx = std::move(per[s])] {
+                          run_lane_replay(s, *rg, idx);
+                        }});
     }
     applied_epoch_.store(epoch, std::memory_order_release);
     // Dispatch-complete: wait_replay_drained() pairs this with
@@ -2067,15 +2005,15 @@ class query_service {
   // on the shard's lane (replayed writes serialize with snapshot stamps
   // exactly like native writes). The last lane to finish
   // closes the group's replay stage.
-  void run_lane_replay(std::size_t s, shard_task task) {
-    auto rg = std::move(task.replay);
+  void run_lane_replay(std::size_t s, replay_group& rg,
+                       const std::vector<std::size_t>& idx) {
     const std::uint64_t t0 = tel_.now_ns();
     bool failed = false;
     std::size_t pts = 0;
     try {
-      for (const std::size_t i : task.replay_idx) {
-        pts += rg->g.records[i].pts.size();
-        apply_log_record(rg->g.records[i]);
+      for (const std::size_t i : idx) {
+        pts += rg.g.records[i].pts.size();
+        apply_log_record(rg.g.records[i]);
       }
     } catch (...) {
       failed = true;  // counted; the replica keeps serving what it has
@@ -2092,8 +2030,8 @@ class query_service {
     if (failed) {
       ctr_.replay_errors.fetch_add(1, std::memory_order_relaxed);
     }
-    if (rg->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      finish_replay_group(rg->g.records.size(), rg->start_ns);
+    if (rg.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      finish_replay_group(rg.g.records.size(), rg.start_ns);
     }
   }
 
@@ -2120,27 +2058,6 @@ class query_service {
     if (tel_.enabled()) tel_.record(stage::replay, tel_.now_ns() - start_ns);
     ctr_.replayed_groups.fetch_add(1, std::memory_order_relaxed);
     ctr_.replayed_records.fetch_add(records, std::memory_order_relaxed);
-  }
-
-  // Fully stamped groups go to the reader pool — except that watch
-  // groups can exist with read_threads == 0 (ticket read groups cannot:
-  // the drainer only splits them off when the pool exists), and nothing
-  // would ever drain read_q_ then, so they evaluate inline on the lane
-  // worker that finished stamping (snapshot-only reads are safe there).
-  void hand_off_read_group(std::shared_ptr<read_group> g) {
-    if (cfg_.read_threads > 0) {
-      enqueue_read_task(std::move(g));
-    } else {
-      run_read_task(std::move(g));
-    }
-  }
-
-  void stamp_shard_snapshot(read_group& g, std::size_t s) {
-    g.snaps[s] = engines_[s]->index().snapshot();
-    // Every backend's snapshot is isolated now (the bdltree write gate is
-    // gone); the epoch reclaimer, not a pin count, covers the structure
-    // versions the snapshot references.
-    assert(g.snaps[s]->isolated());
   }
 
   // Executes one lane's sub-batch with the engine's phase discipline:
@@ -2195,8 +2112,6 @@ class query_service {
                          : 0;
       }
     }
-    give_req_vec(std::move(g->combined));
-    for (auto& idx : g->sub_idx) give_idx_vec(std::move(idx));
     fulfill_group(std::move(g->tickets), g->total, std::move(g->result),
                   error, /*snapshot_epoch=*/0, /*read_group=*/false,
                   /*lagged=*/false, secs, g->commit_epoch, g->trace_ticket);
@@ -2282,7 +2197,7 @@ class query_service {
     if (cfg_.rebalance_threshold <= 1.0 || !bounds_set_) return;
     std::size_t total = 0;
     for (std::size_t n : resident_est_) total += n;
-    if (total < cfg_.rebalance_min_points) return;
+    if (total < kRebalanceMinPoints) return;
     if (rebalance_attempted_) {
       const std::size_t leash =
           last_rebalance_futile_ ? std::max<std::size_t>(256, total / 4)
@@ -2324,7 +2239,7 @@ class query_service {
     // Quantile sample, strided across the whole resident multiset so
     // every shard contributes proportionally to the new bounds.
     const std::size_t target = std::max<std::size_t>(
-        cfg_.shards, std::min(total, cfg_.rebalance_sample));
+        cfg_.shards, std::min(total, kRebalanceSample));
     const std::size_t stride = std::max<std::size_t>(1, total / target);
     std::vector<point<D>> sample;
     sample.reserve(total / stride + 1);
@@ -2349,13 +2264,9 @@ class query_service {
         ++moved;
       }
     }
-    // Migration replays as erase rounds + inserts under the new bounds,
-    // so capture the exact rounds erase_multiset issues.
-    std::vector<std::vector<std::vector<point<D>>>> erase_rounds(
-        log_ ? cfg_.shards : 0);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
       if (leavers[s].empty()) continue;
-      erase_multiset(s, leavers[s], log_ ? &erase_rounds[s] : nullptr);
+      engines_[s]->index().batch_erase(leavers[s]);
       resident_est_[s] = sizes[s] - leavers[s].size();
     }
     for (std::size_t t = 0; t < cfg_.shards; ++t) {
@@ -2369,13 +2280,12 @@ class query_service {
           [&](log_group<D>& lg) {
             lg.origin = log_origin::rebalance;
             for (std::size_t s = 0; s < cfg_.shards; ++s) {
-              for (auto& round : erase_rounds[s]) {
-                log_record<D> rec;
-                rec.shard = static_cast<std::uint32_t>(s);
-                rec.kind = log_op::erase;
-                rec.pts = std::move(round);
-                lg.records.push_back(std::move(rec));
-              }
+              if (leavers[s].empty()) continue;
+              log_record<D> rec;
+              rec.shard = static_cast<std::uint32_t>(s);
+              rec.kind = log_op::erase;
+              rec.pts = std::move(leavers[s]);
+              lg.records.push_back(std::move(rec));
             }
             for (std::size_t t = 0; t < cfg_.shards; ++t) {
               if (arrivals[t].empty()) continue;
@@ -2399,32 +2309,6 @@ class query_service {
     last_rebalance_futile_ = moved == 0;
     ctr_.rebalances.fetch_add(1, std::memory_order_relaxed);
     ctr_.rebalance_moved.fetch_add(moved, std::memory_order_relaxed);
-  }
-
-  // Erases every entry of `pts` (a multiset) from shard s, exactly one
-  // stored copy per entry. batch_erase only guarantees that for DISTINCT
-  // batch points (backends disagree on duplicated entries), so duplicated
-  // entries are split across successive rounds of distinct points. With
-  // `rounds` set, each issued round is captured verbatim (for op-log
-  // emission — replay must re-issue the identical call sequence).
-  void erase_multiset(std::size_t s, std::vector<point<D>>& pts,
-                      std::vector<std::vector<point<D>>>* rounds = nullptr) {
-    std::sort(pts.begin(), pts.end());
-    std::vector<point<D>> round, rest;
-    while (!pts.empty()) {
-      round.clear();
-      rest.clear();
-      for (const auto& p : pts) {
-        if (!round.empty() && round.back() == p) {
-          rest.push_back(p);
-        } else {
-          round.push_back(p);
-        }
-      }
-      engines_[s]->index().batch_erase(round);
-      if (rounds) rounds->push_back(round);
-      pts.swap(rest);
-    }
   }
 
   // ---- cache-intercepted reads --------------------------------------------
@@ -2523,27 +2407,43 @@ class query_service {
 
   // ---- snapshot-read path -------------------------------------------------
 
-  // Routes a read-only group once. Each involved lane stamps its own
-  // snapshot in queue order (so it observes exactly that shard's earlier
-  // writes) and the last stamp hands the group to the readers.
+  // Read-only ticket groups and watch re-evaluations share one path:
+  // launch_read_group routes a group once and fans its snapshot stamps
+  // out to the lanes, the last stamp queues it for the readers, and
+  // run_read_group executes and gather-merges it against the stamped
+  // snapshots. Only the finisher differs: fulfill_read_group for tickets,
+  // deliver_watch_rows for watches.
+
+  // Routes a read-only ticket group; its rows fulfil the tickets.
   void route_read_group(std::vector<pending_entry> tickets,
                         std::size_t total) {
     const std::uint64_t route_start = tel_.enabled() ? tel_.now_ns() : 0;
+    const std::uint64_t trace_ticket = pick_trace_ticket(tickets);
+    auto combined = concat_batches(tickets);
+    launch_read_group(
+        std::move(combined), route_start, trace_ticket,
+        [this, tickets = std::move(tickets), total](const read_group& g,
+                                                    read_rows&& r) mutable {
+          fulfill_read_group(g, std::move(r), std::move(tickets), total);
+        });
+  }
+
+  // Scatters each request of `combined` to every shard that serves it,
+  // then enqueues a stamp task on each involved lane behind that shard's
+  // earlier work, so every snapshot observes exactly the writes dispatched
+  // before this point. A group no shard serves (every ticket's batch was
+  // empty) finishes here, with no rows. Drain thread only.
+  void launch_read_group(
+      std::vector<request<D>> combined, std::uint64_t route_start,
+      std::uint64_t trace_ticket,
+      std::function<void(const read_group&, read_rows&&)> finish) {
     auto g = std::make_shared<read_group>();
-    g->tickets = std::move(tickets);
-    g->total = total;
-    g->trace_ticket = pick_trace_ticket(g->tickets);
-    g->combined = take_req_vec();
-    g->combined.reserve(total);
-    for (const auto& e : g->tickets) {
-      g->combined.insert(g->combined.end(), e.batch.begin(), e.batch.end());
-    }
+    g->combined = std::move(combined);
+    g->trace_ticket = trace_ticket;
+    g->finish = std::move(finish);
     g->sub.resize(cfg_.shards);
     g->sub_idx.resize(cfg_.shards);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      g->sub[s] = take_req_vec();
-      g->sub_idx[s] = take_idx_vec();
-    }
+    g->snaps.resize(cfg_.shards);
     for (std::size_t i = 0; i < g->combined.size(); ++i) {
       for (std::size_t s = 0; s < cfg_.shards; ++s) {
         if (!shard_serves(s, g->combined[i])) continue;
@@ -2551,43 +2451,21 @@ class query_service {
         g->sub_idx[s].push_back(i);
       }
     }
-    g->snaps.resize(cfg_.shards);
-    if (tel_.enabled()) {
-      const std::uint64_t route_end = tel_.now_ns();
-      tel_.record(stage::route, route_end - route_start);
-      if (g->trace_ticket) {
-        tel_.add_span("route", tel_.drain_track(), route_start,
-                      route_end - route_start, g->trace_ticket);
-      }
-    }
-
+    record_route(route_start, trace_ticket);
     std::size_t active = 0;
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (!g->sub[s].empty()) ++active;
+    for (const auto& v : g->sub) {
+      if (!v.empty()) ++active;
     }
-    if (active == 0) {  // every ticket in the group had an empty batch
-      recycle_read_group(*g);
-      fulfill_group(std::move(g->tickets), g->total, batch_result<D>{},
-                    nullptr, /*snapshot_epoch=*/0, /*read_group=*/true,
-                    /*lagged=*/false, /*exec_seconds=*/0, /*commit_epoch=*/0,
-                    g->trace_ticket);
+    if (active == 0) {
+      g->finish(*g, read_rows{});
       return;
     }
     g->stamps_remaining.store(active, std::memory_order_relaxed);
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
       if (g->sub[s].empty()) continue;
-      shard_task task;
-      task.stamp = g;
-      enqueue_lane_task(s, std::move(task));
+      enqueue_lane_task(s, {[this, s, g] { run_lane_stamp(s, g); },
+                            trace_ticket});
     }
-  }
-
-  void enqueue_read_task(std::shared_ptr<read_group> g) {
-    {
-      std::lock_guard<std::mutex> lk(read_mu_);
-      read_q_.push_back(std::move(g));
-    }
-    read_cv_.notify_one();
   }
 
   // Snapshot-read executors: drain the read queue until shutdown.
@@ -2601,38 +2479,34 @@ class query_service {
         g = std::move(read_q_.front());
         read_q_.pop_front();
       }
-      run_read_task(std::move(g));
+      run_read_group(std::move(g));
     }
   }
 
   // Executes one read group against its epoch snapshots (through the
-  // result cache) and fulfils it; watch groups peel off to their own
-  // finisher (registry delivery instead of ticket fulfilment). The whole
-  // execution runs inside an epoch-reclaimer guard: structure versions
-  // retired while this read is in flight stay on the limbo list until the
-  // guard releases (query/epoch_reclaim.h).
-  void run_read_task(std::shared_ptr<read_group> g) {
-    if (g->watch_seq != 0) {
-      run_watch_task(std::move(g));
-      return;
-    }
+  // result caches) and gather-merges the per-shard rows, inside an
+  // epoch-reclaimer guard: structure versions retired while this read is
+  // in flight stay on the limbo list until the guard releases
+  // (query/epoch_reclaim.h). Then drops the snapshots and hands the rows
+  // to the group's finisher.
+  void run_read_group(std::shared_ptr<read_group> g) {
     epoch_reclaimer::guard eg = reclaim_.enter();
     const std::uint64_t t_start = tel_.now_ns();
-    batch_result<D> result;
-    std::exception_ptr error = g->error;  // all stamps retired; no race
-    std::uint64_t snap_epoch = 0;
-    if (!error) {
+    read_rows r;
+    r.error = g->error;  // all stamps retired; no race
+    if (!r.error) {
       try {
-        result.responses.resize(g->combined.size());
         std::vector<batch_result<D>> shard_res(cfg_.shards);
+        std::vector<std::size_t> hits(cfg_.shards, 0);
         par::parallel_for(
             0, cfg_.shards,
             [&](std::size_t s) {
               if (g->sub[s].empty()) return;
               shard_res[s].responses.resize(g->sub[s].size());
               const std::uint64_t s0 = tel_.enabled() ? tel_.now_ns() : 0;
-              run_shard_reads(s, g->sub[s], 0, g->sub[s].size(), *g->snaps[s],
-                              g->snaps[s]->epoch(), shard_res[s].responses);
+              hits[s] = run_shard_reads(s, g->sub[s], 0, g->sub[s].size(),
+                                        *g->snaps[s], g->snaps[s]->epoch(),
+                                        shard_res[s].responses);
               if (tel_.enabled()) {
                 const std::uint64_t s_ns = tel_.now_ns() - s0;
                 tel_.record_shard(s, stage::execute_read, s_ns);
@@ -2644,9 +2518,10 @@ class query_service {
               }
             },
             1);
+        for (const std::size_t h : hits) r.cache_hits += h;
+        r.responses.resize(g->combined.size());
         const std::uint64_t m0 = tel_.enabled() ? tel_.now_ns() : 0;
-        merge_shard_reads(g->combined, g->sub_idx, shard_res,
-                          result.responses);
+        merge_shard_reads(g->combined, g->sub_idx, shard_res, r.responses);
         if (tel_.enabled()) {
           const std::uint64_t m_ns = tel_.now_ns() - m0;
           tel_.record(stage::merge, m_ns);
@@ -2655,45 +2530,46 @@ class query_service {
                           g->trace_ticket);
           }
         }
-        for (std::size_t i = 0; i < g->combined.size(); ++i) {
-          result.responses[i].kind = g->combined[i].kind;
-          result.responses[i].phase = 0;
-        }
-        for (const auto& snap : g->snaps) {
-          if (snap) snap_epoch = std::max(snap_epoch, snap->epoch());
-        }
       } catch (...) {
-        error = std::current_exception();
+        r.error = std::current_exception();
+        r.responses.clear();
       }
     }
-    const double secs = static_cast<double>(tel_.now_ns() - t_start) * 1e-9;
-    result.stats.num_requests = g->total;
-    result.stats.num_reads = g->total;
-    result.stats.seconds = secs;
-    result.stats.phases = {
-        {g->combined.empty() ? op::knn : g->combined.front().kind, g->total,
-         secs}};
-    // Any divergence here means a write drain advanced the live index
-    // while this read was executing — the overlap the un-pinned pipeline
-    // exists to allow (on every backend now, bdltree included).
-    bool lagged = false;
+    r.seconds = static_cast<double>(tel_.now_ns() - t_start) * 1e-9;
+    // A live epoch past its snapshot's means a write drain advanced that
+    // shard while this read was executing — the overlap this path exists
+    // to allow.
     for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (g->snaps[s] &&
-          g->snaps[s]->epoch() != engines_[s]->index().epoch()) {
-        lagged = true;
-      }
+      const auto& snap = g->snaps[s];
+      if (!snap) continue;
+      r.snap_epoch = std::max(r.snap_epoch, snap->epoch());
+      if (snap->epoch() != engines_[s]->index().epoch()) r.lagged = true;
     }
     eg.release();  // quiescent: stop holding the reclaim epoch back
-    recycle_read_group(*g);
-    fulfill_group(std::move(g->tickets), g->total, std::move(result), error,
-                  snap_epoch, /*read_group=*/true, lagged, secs,
-                  /*commit_epoch=*/0, g->trace_ticket);
+    g->snaps.clear();  // finishers run user callbacks; the rows are owned
+    g->finish(*g, std::move(r));
   }
 
-  void recycle_read_group(read_group& g) {
-    give_req_vec(std::move(g.combined));
-    for (auto& v : g.sub) give_req_vec(std::move(v));
-    for (auto& v : g.sub_idx) give_idx_vec(std::move(v));
+  // Ticket finisher: stamps the one-phase read structure onto the merged
+  // rows and fulfils every ticket of the group.
+  void fulfill_read_group(const read_group& g, read_rows&& r,
+                         std::vector<pending_entry> tickets,
+                         std::size_t total) {
+    batch_result<D> result;
+    result.responses = std::move(r.responses);
+    for (std::size_t i = 0; i < result.responses.size(); ++i) {
+      result.responses[i].kind = g.combined[i].kind;
+      result.responses[i].phase = 0;
+    }
+    result.stats.num_requests = total;
+    result.stats.num_reads = total;
+    result.stats.seconds = r.seconds;
+    if (total > 0) {
+      result.stats.phases = {{g.combined.front().kind, total, r.seconds}};
+    }
+    fulfill_group(std::move(tickets), total, std::move(result), r.error,
+                  r.snap_epoch, /*read_group=*/true, r.lagged, r.seconds,
+                  /*commit_epoch=*/0, g.trace_ticket);
   }
 
   // ---- continuous queries -------------------------------------------------
@@ -2732,99 +2608,47 @@ class query_service {
         },
         affected_scratch_);
     if (seq == 0) return;
-    auto g = std::make_shared<read_group>();
-    g->watch_seq = seq;
-    g->watch_start_ns = tel_.now_ns();
-    g->combined = take_req_vec();
-    g->combined.reserve(affected_scratch_.size());
-    g->watch_ids.reserve(affected_scratch_.size());
+    const std::uint64_t start_ns = tel_.now_ns();
+    std::vector<request<D>> combined;
+    std::vector<std::uint64_t> ids;
+    combined.reserve(affected_scratch_.size());
+    ids.reserve(affected_scratch_.size());
     for (auto& [id, q] : affected_scratch_) {
-      g->watch_ids.push_back(id);
-      g->combined.push_back(std::move(q));
-    }
-    g->sub.resize(cfg_.shards);
-    g->sub_idx.resize(cfg_.shards);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      g->sub[s] = take_req_vec();
-      g->sub_idx[s] = take_idx_vec();
+      ids.push_back(id);
+      combined.push_back(std::move(q));
     }
     // Full scatter over ALL serving shards (not just the touched ones):
     // a watch's fresh result must be the complete answer, and untouched
     // shards answer from their caches at an unchanged epoch anyway.
-    for (std::size_t i = 0; i < g->combined.size(); ++i) {
-      for (std::size_t s = 0; s < cfg_.shards; ++s) {
-        if (!shard_serves(s, g->combined[i])) continue;
-        g->sub[s].push_back(g->combined[i]);
-        g->sub_idx[s].push_back(i);
-      }
-    }
-    g->snaps.resize(cfg_.shards);
-    std::size_t active = 0;
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (!g->sub[s].empty()) ++active;
-    }
-    if (active == 0) {  // unreachable (shard_serves keeps >= 1 shard)
-      recycle_read_group(*g);
-      watches_->deliver(seq, {});
-      return;
-    }
-    g->stamps_remaining.store(active, std::memory_order_relaxed);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      if (g->sub[s].empty()) continue;
-      shard_task task;
-      task.stamp = g;
-      enqueue_lane_task(s, std::move(task));
-    }
+    launch_read_group(
+        std::move(combined), start_ns, /*trace_ticket=*/0,
+        [this, seq, ids = std::move(ids), start_ns](const read_group& g,
+                                                    read_rows&& r) {
+          deliver_watch_rows(g, std::move(r), seq, ids, start_ns);
+        });
   }
 
-  // Re-evaluates one watch group against its post-drain snapshots and
-  // hands the canonicalized rows to the registry's delivery engine. The
-  // watch_eval histogram records commit boundary -> results ready (the
-  // fire latency). Delivery happens even on failure — an empty batch —
-  // so the registry's boundary sequence never stalls.
-  void run_watch_task(std::shared_ptr<read_group> g) {
-    epoch_reclaimer::guard eg = reclaim_.enter();
+  // Watch finisher: canonicalizes each re-evaluated row and hands them to
+  // the registry's delivery engine. Delivery happens even on failure — an
+  // empty batch — so the registry's boundary sequence never stalls. The
+  // watch_eval histogram records commit boundary -> rows ready (the fire
+  // latency).
+  void deliver_watch_rows(const read_group& g, read_rows&& r,
+                          std::uint64_t seq,
+                          const std::vector<std::uint64_t>& ids,
+                          std::uint64_t start_ns) {
     std::vector<std::pair<std::uint64_t, std::vector<point<D>>>> fired;
-    if (!g->error) {
-      try {
-        std::vector<response<D>> responses(g->combined.size());
-        std::vector<batch_result<D>> shard_res(cfg_.shards);
-        par::parallel_for(
-            0, cfg_.shards,
-            [&](std::size_t s) {
-              if (g->sub[s].empty()) return;
-              shard_res[s].responses.resize(g->sub[s].size());
-              const std::uint64_t s0 = tel_.enabled() ? tel_.now_ns() : 0;
-              const std::size_t hits = run_shard_reads(
-                  s, g->sub[s], 0, g->sub[s].size(), *g->snaps[s],
-                  g->snaps[s]->epoch(), shard_res[s].responses);
-              if (hits > 0) {
-                watch_cache_hits_.fetch_add(hits, std::memory_order_relaxed);
-              }
-              if (tel_.enabled()) {
-                tel_.record_shard(s, stage::execute_read,
-                                  tel_.now_ns() - s0);
-              }
-            },
-            1);
-        merge_shard_reads(g->combined, g->sub_idx, shard_res, responses);
-        fired.reserve(g->watch_ids.size());
-        for (std::size_t i = 0; i < g->combined.size(); ++i) {
-          canonicalize_row(g->combined[i], responses[i].points);
-          fired.emplace_back(g->watch_ids[i],
-                             std::move(responses[i].points));
-        }
-      } catch (...) {
-        fired.clear();
+    if (!r.error) {
+      watch_cache_hits_.fetch_add(r.cache_hits, std::memory_order_relaxed);
+      fired.reserve(r.responses.size());
+      for (std::size_t i = 0; i < r.responses.size(); ++i) {
+        canonicalize_row(g.combined[i], r.responses[i].points);
+        fired.emplace_back(ids[i], std::move(r.responses[i].points));
       }
     }
     if (tel_.enabled()) {
-      tel_.record(stage::watch_eval, tel_.now_ns() - g->watch_start_ns);
+      tel_.record(stage::watch_eval, tel_.now_ns() - start_ns);
     }
-    eg.release();  // quiescent before delivery (callbacks are user code)
-    const std::uint64_t seq = g->watch_seq;
-    recycle_read_group(*g);
-    g.reset();
     watches_->deliver(seq, std::move(fired));
   }
 
@@ -2858,10 +2682,9 @@ class query_service {
   // the erases as an internal write group through the normal drain
   // machinery under a synthetic ticket (id 0, total 0: fulfilment skips
   // the completion bookkeeping, and the erases were never admitted
-  // against the backpressure bound). Duplicate coordinates within one
-  // sweep are re-queued at the front — still due, they retire on the
-  // next sweep — because batch_erase is only exact on distinct points,
-  // exactly like erase_multiset. Drain-thread only.
+  // against the backpressure bound). A coordinate due twice is erased
+  // twice: every backend deletes one stored copy per erase entry.
+  // Drain-thread only.
   void maybe_expire() {
     if (cfg_.point_ttl_ns == 0) return;
     const std::uint64_t now = ttl_now_();
@@ -2875,26 +2698,10 @@ class query_service {
     }
     if (due.empty()) return;
     const std::uint64_t t0 = tel_.now_ns();
-    std::sort(due.begin(), due.end(),
-              [](const std::pair<std::uint64_t, point<D>>& a,
-                 const std::pair<std::uint64_t, point<D>>& b) {
-                return a.second < b.second;
-              });
     std::vector<request<D>> erases;
     erases.reserve(due.size());
-    std::vector<std::pair<std::uint64_t, point<D>>> leftovers;
-    for (auto& e : due) {
-      if (!erases.empty() && erases.back().p == e.second) {
-        leftovers.push_back(std::move(e));
-      } else {
-        erases.push_back(request<D>::make_erase(e.second));
-      }
-    }
-    if (!leftovers.empty()) {
-      // Already due, so they stay ahead of every queued deadline.
-      std::lock_guard<std::mutex> lk(ttl_mu_);
-      ttl_q_.insert(ttl_q_.begin(), std::make_move_iterator(leftovers.begin()),
-                    std::make_move_iterator(leftovers.end()));
+    for (const auto& e : due) {
+      erases.push_back(request<D>::make_erase(e.second));
     }
     const std::size_t count = erases.size();
     begin_write_group();
@@ -3392,9 +3199,9 @@ class query_service {
   std::vector<std::pair<std::uint64_t, request<D>>> affected_scratch_;
 
   // TTL expiry. ttl_q_ holds (deadline, point) in nondecreasing deadline
-  // order — one drain-thread clock stamps appends group by group, and
-  // re-queued duplicates are already due — so the sweep only ever pops
-  // the front. ttl_mu_ guards it (bootstrap runs off-thread).
+  // order — one drain-thread clock stamps appends group by group — so the
+  // sweep only ever pops the front. ttl_mu_ guards it (bootstrap runs
+  // off-thread).
   std::function<std::uint64_t()> ttl_now_;
   std::mutex ttl_mu_;
   std::deque<std::pair<std::uint64_t, point<D>>> ttl_q_;
@@ -3419,14 +3226,7 @@ class query_service {
   std::atomic<std::uint64_t> submit_entrants_{0};
   std::atomic<std::size_t> replay_pending_{0};
 
-  // Routing scratch recycling pool.
-  mutable std::mutex scratch_mu_;
-  std::vector<std::vector<request<D>>> spare_req_;
-  std::vector<std::vector<std::size_t>> spare_idx_;
-  std::size_t scratch_reuses_ = 0;
-  std::size_t scratch_allocs_ = 0;
-
-  // Snapshot-read executor pool.
+  // Snapshot-read executor pool (kReaderThreads threads).
   std::mutex read_mu_;
   std::condition_variable read_cv_;
   std::deque<std::shared_ptr<read_group>> read_q_;

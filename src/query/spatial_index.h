@@ -9,10 +9,10 @@
 // so a mixed read/write workload can run against any backend unchanged.
 //
 // Semantics shared by every backend: points form a multiset (duplicates
-// allowed); erase removes at most one stored copy per batch entry for
-// distinct batch points (backends differ only on erasing a point stored
-// multiple times — see bdl_tree's class comment); k-NN rows are sorted by
-// distance and have min(k, size()) entries; range results are unordered.
+// allowed); erase removes exactly one stored copy per batch entry that
+// matches one (an entry repeated m times removes up to m copies; entries
+// matching nothing are ignored); k-NN rows are sorted by distance and have
+// min(k, size()) entries; range results are unordered.
 //
 // *Epochs and snapshots.* Every adapter carries a monotonically increasing
 // write epoch (bumped by build and by each content-changing write batch)

@@ -121,6 +121,30 @@ TEST(BdlTree, EraseAll) {
   EXPECT_TRUE(t.gather().empty());
 }
 
+TEST(BdlTree, EraseTakesOneCopyOfAPointStoredInBufferAndTrees) {
+  // pts[0] ends up stored three times: in tree 1, in tree 0 and in the
+  // buffer. Each erase entry must delete exactly one of those copies.
+  bdl_tree<2> t(split_policy::object_median, /*buffer_size=*/64);
+  auto pts = datagen::uniform<2>(128, 14);
+  t.insert(pts);
+  std::vector<point<2>> more = datagen::uniform<2>(63, 15);
+  more.push_back(pts[0]);
+  t.insert(more);
+  t.insert({pts[0]});
+  ASSERT_EQ(t.size(), 193u);
+  ASSERT_EQ(t.num_static_trees(), 2u);
+  t.erase({pts[0]});
+  EXPECT_EQ(t.size(), 192u);
+  t.erase({pts[0], pts[0]});
+  EXPECT_EQ(t.size(), 190u);
+  t.erase({pts[0]});  // no copy left
+  EXPECT_EQ(t.size(), 190u);
+  auto model = pts;
+  model.erase(model.begin());
+  model.insert(model.end(), more.begin(), more.end() - 1);
+  expect_same_multiset<2>(t.gather(), model);
+}
+
 TEST(BdlTree, ModelBasedRandomWorkload) {
   // Random interleaving of batch inserts and deletes, checked against a
   // plain vector model after each operation.

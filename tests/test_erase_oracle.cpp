@@ -8,11 +8,15 @@
 // response plus the final resident set must match a
 // brute-force flat multiset executing the same stream one request at a
 // time — a reference that shares no code with any backend, so it checks
-// the kd-tree adapter as independently as the other two.
+// the kd-tree adapter as independently as the other two. Below the
+// service, an index-level model test holds every backend to the same
+// multiset contract: each erase entry deletes exactly one stored copy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -184,8 +188,112 @@ TEST_P(EraseOracle, DuplicateAndMissingPointEdgeCases) {
   run_against_reference(GetParam(), shard_policy::hash, initial, reqs);
 }
 
+// Points stored twice where a shard keeps most of its points in trees,
+// not in a staging buffer: more than 1,024 points per shard (the BDL
+// buffer size), so one copy sits in a tree and the fresh one in the
+// buffer. One erase request must delete exactly one of them.
+TEST_P(EraseOracle, ErasingAPointStoredTwiceDeletesOneCopy) {
+  std::vector<point<2>> initial;
+  for (int i = 0; i < 6000; ++i) initial.push_back(pt(i % 100, i / 100));
+
+  std::vector<query::request<2>> reqs;
+  const aabb<2> corner(pt(-1, -1), pt(12, 12));
+  const auto probe = [&] {
+    reqs.push_back(query::request<2>::make_range(corner));
+    reqs.push_back(query::request<2>::make_knn(pt(5.5, 5.5), 9));
+  };
+  for (int i = 0; i < 10; ++i) {
+    reqs.push_back(query::request<2>::make_insert(pt(i, i)));
+  }
+  probe();
+  for (int i = 0; i < 10; ++i) {
+    reqs.push_back(query::request<2>::make_erase(pt(i, i)));
+  }
+  probe();
+  // Three copies after a double insert; one batch erases two of them.
+  for (int i = 0; i < 10; i += 2) {
+    reqs.push_back(query::request<2>::make_insert(pt(i, 10 - i)));
+    reqs.push_back(query::request<2>::make_insert(pt(i, 10 - i)));
+  }
+  probe();
+  for (int i = 0; i < 10; i += 2) {
+    reqs.push_back(query::request<2>::make_erase(pt(i, 10 - i)));
+    reqs.push_back(query::request<2>::make_erase(pt(i, 10 - i)));
+  }
+  probe();
+
+  run_against_reference(GetParam(), shard_policy::hash, initial, reqs);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, EraseOracle,
+    ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
+    [](const auto& info) {
+      return std::string(query::backend_name(info.param));
+    });
+
+// Index-level multiset model, below the service: random insert batches
+// and erase batches over a small coordinate grid (so most points are
+// stored several times), erase batches both of distinct entries and with
+// entries repeated, plus entries matching nothing. After every batch the
+// backend's size and contents must equal a flat multiset where each
+// erase entry removes one stored copy. The BDL-tree gets an 8-point
+// buffer so nearly every point lives in its forest of trees.
+class EraseModel : public ::testing::TestWithParam<backend> {};
+
+std::unique_ptr<query::spatial_index<2>> small_buffer_index(backend b) {
+  if (b == backend::bdltree) {
+    return std::make_unique<query::bdltree_index<2>>(
+        bdltree::split_policy::object_median, 8);
+  }
+  return query::make_index<2>(b);
+}
+
+TEST_P(EraseModel, EveryEntryErasesExactlyOneStoredCopy) {
+  auto idx = small_buffer_index(GetParam());
+  std::mt19937 rng(29);
+  const auto grid_point = [&] {
+    return pt(static_cast<double>(rng() % 12), static_cast<double>(rng() % 12));
+  };
+  std::vector<point<2>> model;
+  for (int i = 0; i < 400; ++i) model.push_back(grid_point());
+  idx->build(model);
+  for (int round = 0; round < 400; ++round) {
+    std::vector<point<2>> batch;
+    const std::size_t n = 1 + rng() % 48;
+    if (round % 3 == 0 || model.empty()) {
+      for (std::size_t i = 0; i < n; ++i) batch.push_back(grid_point());
+      idx->batch_insert(batch);
+      model.insert(model.end(), batch.begin(), batch.end());
+    } else {
+      const bool repeat = round % 3 == 2;
+      for (std::size_t i = 0; i < n && !model.empty(); ++i) {
+        const point<2> p = rng() % 8 == 0 ? pt(-1, -1)  // never stored
+                                          : model[rng() % model.size()];
+        const std::size_t copies = repeat ? 1 + rng() % 3 : 1;
+        for (std::size_t c = 0; c < copies; ++c) batch.push_back(p);
+      }
+      if (!repeat) {
+        std::sort(batch.begin(), batch.end());
+        batch.erase(std::unique(batch.begin(), batch.end()), batch.end());
+      }
+      idx->batch_erase(batch);
+      for (const auto& p : batch) {
+        const auto it = std::find(model.begin(), model.end(), p);
+        if (it != model.end()) model.erase(it);
+      }
+    }
+    ASSERT_EQ(idx->size(), model.size()) << "round " << round;
+    auto have = idx->gather();
+    auto want = model;
+    std::sort(have.begin(), have.end());
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(have, want) << "round " << round;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, EraseModel,
     ::testing::Values(backend::kdtree, backend::zdtree, backend::bdltree),
     [](const auto& info) {
       return std::string(query::backend_name(info.param));

@@ -4,8 +4,7 @@
 // by the live index only before its next write; zdtree: chunk-level
 // copy-on-write Morton array; bdltree: chunk-level COW forest view) keep
 // answering exactly as of their epoch while the live index absorbs further
-// writes; and query_engine::execute_reads drives a read-only batch through
-// a snapshot (and rejects writes).
+// writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -289,33 +288,24 @@ TEST(SnapshotIsolation, ZdtreeSnapshotSurvivesManyWriteRounds) {
   expect_matches_model(*idx, model);
 }
 
-TEST(SnapshotReads, ExecuteReadsRunsABatchAgainstASnapshot) {
+TEST(SnapshotReads, ReadsAgainstASnapshotIgnoreLaterWrites) {
   auto idx = query::make_index<2>(backend::kdtree);
   const auto initial = datagen::uniform<2>(180, 37);
   idx->build(initial);
   auto snap = idx->snapshot();
   idx->batch_insert({point<2>{{999, 999}}});  // invisible to the snapshot
 
-  std::vector<query::request<2>> batch{
-      query::request<2>::make_knn(initial[3], 4),
-      query::request<2>::make_ball(point<2>{{999, 999}}, 0.5),
-      query::request<2>::make_range(
-          aabb<2>(point<2>{{-1, -1}}, point<2>{{1000, 1000}})),
-  };
-  auto result = query::query_engine<2>::execute_reads(batch, *snap);
-  ASSERT_EQ(result.responses.size(), 3u);
-  EXPECT_EQ(result.responses[0].points.size(), 4u);
-  EXPECT_EQ(result.responses[0].points[0], initial[3]);
-  EXPECT_TRUE(result.responses[1].points.empty());
-  EXPECT_EQ(result.responses[2].points.size(), initial.size());
-  EXPECT_EQ(result.stats.num_reads, 3u);
-  EXPECT_EQ(result.stats.num_phases(), 1u);
-
-  // Writes are rejected: snapshots are read-only by construction.
-  std::vector<query::request<2>> writes{
-      query::request<2>::make_insert(point<2>{{1, 1}})};
-  EXPECT_THROW(query::query_engine<2>::execute_reads(writes, *snap),
-               std::logic_error);
+  const auto knn = snap->batch_knn({initial[3]}, 4);
+  ASSERT_EQ(knn.size(), 1u);
+  EXPECT_EQ(knn[0].size(), 4u);
+  EXPECT_EQ(knn[0][0], initial[3]);
+  const auto ball = snap->batch_ball({point<2>{{999, 999}}}, {0.5});
+  ASSERT_EQ(ball.size(), 1u);
+  EXPECT_TRUE(ball[0].empty());
+  const auto range = snap->batch_range(
+      {aabb<2>(point<2>{{-1, -1}}, point<2>{{1000, 1000}})});
+  ASSERT_EQ(range.size(), 1u);
+  EXPECT_EQ(range[0].size(), initial.size());
 }
 
 namespace {

@@ -669,8 +669,6 @@ TEST(QueryService, FourProducersDrainAcrossShardLanes) {
   // k-NN scatters to every lane, so all four lanes executed sub-batches.
   EXPECT_EQ(lanes_used, 4u);
   EXPECT_GE(lane_drains, stats.num_write_groups);
-  // Routing buffers recycle once the pool warms up.
-  EXPECT_GT(stats.scratch_reuses, 0u);
 }
 
 namespace {

@@ -111,6 +111,29 @@ TEST(VebTree, EraseBatchLargerThanTree) {
   EXPECT_TRUE(t.empty());
 }
 
+TEST(VebTree, EraseTakesOneCopyPerEntryAndReportsUnmatched) {
+  // Many copies of one coordinate straddle split values on both sides of
+  // the median partitions; each batch entry must still take one copy.
+  std::vector<point<2>> pts(300, point<2>{{1, 1}});
+  auto spread = datagen::uniform<2>(300, 11);
+  pts.insert(pts.end(), spread.begin(), spread.end());
+  for (auto pol : {split_policy::object_median, split_policy::spatial_median}) {
+    veb_tree<2> t(pts, pol);
+    const std::vector<point<2>> three(3, point<2>{{1, 1}});
+    EXPECT_EQ(t.erase(three), 3u);
+    EXPECT_EQ(t.size(), pts.size() - 3);
+    std::vector<point<2>> batch(299, point<2>{{1, 1}});
+    batch.push_back(point<2>{{-5, -5}});  // never stored
+    std::vector<point<2>> unmatched;
+    EXPECT_EQ(t.erase(batch, &unmatched), 297u);
+    EXPECT_EQ(t.size(), spread.size());
+    std::sort(unmatched.begin(), unmatched.end());
+    EXPECT_EQ(unmatched, (std::vector<point<2>>{point<2>{{-5, -5}},
+                                                 point<2>{{1, 1}},
+                                                 point<2>{{1, 1}}}));
+  }
+}
+
 TEST(VebTree, TinyTrees) {
   for (std::size_t n : {1u, 2u, 3u, 16u, 17u, 31u, 33u}) {
     auto pts = datagen::uniform<2>(n, 10 + n);
